@@ -211,16 +211,18 @@ def overlap(b1, b2):
     return float(np.sum(prod * prod) / b1.rank)
 
 
+def positive_qr(matrix):
+    """Q factor signed so diag(R) >= 0; for a Gaussian matrix it is Haar distributed."""
+    Q, R = np.linalg.qr(matrix)
+    d = np.diag(R)
+    return Q * np.sign(np.where(d == 0, 1.0, d))
+
+
 def stiefel_from_rng(rng, dim, k):
     """Haar-uniform orthonormal basis drawn from an existing Generator."""
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    G = rng.standard_normal((dim, k))
-    Q, R = np.linalg.qr(G)
-    # sign-correct with diag(R) so the distribution is exactly Haar
-    d = np.diag(R)
-    Q = Q * np.sign(np.where(d == 0, 1.0, d))
-    return OrthonormalBasis(Q, check=False)
+    return OrthonormalBasis(positive_qr(rng.standard_normal((dim, k))), check=False)
 
 
 def sample_stiefel(dim, k, seed):

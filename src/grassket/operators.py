@@ -9,6 +9,7 @@ a 2-d float array whose columns are the vectors to map.  Single vectors are
 import numpy as np
 
 from .errors import ContractViolation
+from .grassmann import positive_qr, stiefel_from_rng
 from .masks import SparseMask
 
 __all__ = [
@@ -18,7 +19,6 @@ __all__ = [
     "PlantedOperator",
     "CountingOperator",
     "identity",
-    "apply_block",
     "diagonal_entry",
     "make_planted_operator",
     "magnitude_order",
@@ -94,11 +94,6 @@ class LinearOperator:
         if self.hermitian:
             return self._apply(X)
         return self._apply_adjoint(X)
-
-
-def apply_block(op, X):
-    """Apply ``op`` to a block of column vectors (validated)."""
-    return op.apply(X)
 
 
 def diagonal_entry(op, i):
@@ -234,14 +229,6 @@ class PlantedOperator(LinearOperator):
         return self.basis @ (self.eigvals[:, None] * self.basis.T)
 
 
-def _haar_stiefel(rng, dim, k):
-    # QR of a Gaussian with R-diagonal sign correction gives the Haar measure
-    G = rng.standard_normal((dim, k))
-    Q, R = np.linalg.qr(G)
-    d = np.diag(R)
-    return Q * np.sign(np.where(d == 0, 1.0, d))
-
-
 def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
     """Build a planted operator whose top eigenspace is steerable onto a mask.
 
@@ -271,7 +258,7 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         raise ValueError(f"alignment must lie in [0, 1], got {alignment}")
 
     rng = np.random.default_rng(seed)
-    haar = _haar_stiefel(rng, dim, r)
+    haar = stiefel_from_rng(rng, dim, r).columns
     if alignment == 0.0:
         if mask_target is not None and mask_target.dim != dim:
             raise ValueError("mask_target dimension mismatch")
@@ -288,15 +275,13 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
                 f"{r} eigenvalues are planted"
             )
         supported = np.zeros((dim, r))
-        supported[mask_target.indices] = _haar_stiefel(rng, r, r)
+        supported[mask_target.indices] = stiefel_from_rng(rng, r, r).columns
         # Procrustes: rotate the supported basis onto the Haar one so the
         # blend below interpolates along principal-angle planes.
         W, _, Vt = np.linalg.svd(supported.T @ haar)
         supported = supported @ (W @ Vt)
         blend = (1.0 - alignment) * haar + alignment * supported
-        Q, R = np.linalg.qr(blend)
-        d = np.diag(R)
-        basis = Q * np.sign(np.where(d == 0, 1.0, d))
+        basis = positive_qr(blend)
         mask_indices = mask_target.indices
 
     return PlantedOperator(basis, eigvals, alignment=alignment, mask_indices=mask_indices)

@@ -19,6 +19,9 @@ Manifest schema (format_version 1)::
       "chunks": [{"file": "chunk-00000.bin", "col_start": 0, "col_stop": 8}, ...],
       "metadata": { ... caller supplied, unknown keys are ignored ... }
     }
+
+The merged header holds the same fields minus ``chunks``, with ``chunk_cols``
+renamed ``source_chunk_cols``.
 """
 
 import json
@@ -108,6 +111,7 @@ class MergedMatrix:
     rows: int
     cols: int
     data_offset: int
+    source_chunk_cols: int
     metadata: dict
 
 
@@ -163,35 +167,47 @@ def _write_manifest(store):
     (store.path / MANIFEST_NAME).write_text(text + "\n", encoding="utf-8")
 
 
+def _int_field(mapping, key):
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"field {key!r} is not an integer: {value!r}")
+    return value
+
+
 def open_store(path):
-    """Open an existing chunked store from its manifest."""
+    """Open an existing chunked store; a malformed manifest raises IntegrityError."""
     path = Path(path)
-    manifest = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
-    if manifest["format_version"] > FORMAT_VERSION:
+    try:
+        manifest = json.loads((path / MANIFEST_NAME).read_bytes())
+        version = _int_field(manifest, "format_version")
+        chunks = [
+            ChunkSpec(c["file"], _int_field(c, "col_start"), _int_field(c, "col_stop"))
+            for c in manifest["chunks"]
+        ]
+        store = ChunkedMatrixStore(
+            path=path,
+            rows=_int_field(manifest, "rows"),
+            cols=_int_field(manifest, "cols"),
+            chunk_cols=_int_field(manifest, "chunk_cols"),
+            chunks=sorted(chunks, key=lambda c: c.col_start),
+            metadata=dict(manifest.get("metadata", {})),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed manifest in {path}: {exc!r}") from exc
+    if version > FORMAT_VERSION:
         raise IntegrityError(
-            f"manifest format_version {manifest['format_version']} is newer "
+            f"manifest format_version {version} is newer "
             f"than supported ({FORMAT_VERSION})"
         )
-    chunks = [
-        ChunkSpec(c["file"], int(c["col_start"]), int(c["col_stop"]))
-        for c in manifest["chunks"]
-    ]
-    widths = sorted((c.col_start, c.col_stop) for c in chunks)
+    widths = [(c.col_start, c.col_stop) for c in store.chunks]
     cursor = 0
     for start, stop in widths:
         if start != cursor or stop <= start:
             raise IntegrityError(f"chunk ranges are not disjoint and contiguous: {widths}")
         cursor = stop
-    if cursor != int(manifest["cols"]):
+    if cursor != store.cols:
         raise IntegrityError("chunk widths do not sum to the column count")
-    return ChunkedMatrixStore(
-        path=path,
-        rows=int(manifest["rows"]),
-        cols=int(manifest["cols"]),
-        chunk_cols=int(manifest["chunk_cols"]),
-        chunks=sorted(chunks, key=lambda c: c.col_start),
-        metadata=dict(manifest.get("metadata", {})),
-    )
+    return store
 
 
 def _claim_range(store, start, stop):
@@ -275,6 +291,7 @@ def _read_merged(merged, col_start, n_cols):
 
 
 def open_merged(path):
+    """Open a merged file; a malformed header raises IntegrityError."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MERGED_MAGIC))
@@ -282,14 +299,21 @@ def open_merged(path):
             raise IntegrityError(f"{path} is not a merged matrix file")
         header = fh.readline()
         data_offset = fh.tell()
-    manifest = json.loads(header.decode("utf-8"))
-    return MergedMatrix(
-        path=path,
-        rows=int(manifest["rows"]),
-        cols=int(manifest["cols"]),
-        data_offset=data_offset,
-        metadata=dict(manifest.get("metadata", {})),
-    )
+    try:
+        manifest = json.loads(header)
+        merged = MergedMatrix(
+            path=path,
+            rows=_int_field(manifest, "rows"),
+            cols=_int_field(manifest, "cols"),
+            data_offset=data_offset,
+            source_chunk_cols=_int_field(manifest, "source_chunk_cols"),
+            metadata=dict(manifest.get("metadata", {})),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed header in {path}: {exc!r}") from exc
+    if merged.source_chunk_cols < 1:
+        raise IntegrityError(f"{path}: source_chunk_cols must be positive")
+    return merged
 
 
 def open_any(source):
@@ -322,17 +346,25 @@ def read_matrix(source):
     return read_columns(handle, 0, handle.cols)
 
 
-def _check_chunks_complete(store):
-    for spec in store.chunks:
-        chunk_file = store.chunk_path(spec)
+def _structural_issues(handle):
+    """Missing or wrongly sized chunk files, or a wrongly sized data segment."""
+    if isinstance(handle, MergedMatrix):
+        expected = handle.rows * handle.cols * DTYPE.itemsize
+        actual = handle.path.stat().st_size - handle.data_offset
+        if actual != expected:
+            return [f"data segment: {actual} bytes, expected {expected}"]
+        return []
+    issues = []
+    for spec in handle.chunks:
+        chunk_file = handle.chunk_path(spec)
         if not chunk_file.exists():
-            raise IntegrityError(f"missing chunk file: {spec.file}")
-        expected = store.rows * spec.width * DTYPE.itemsize
+            issues.append(f"missing chunk file: {spec.file}")
+            continue
+        expected = handle.rows * spec.width * DTYPE.itemsize
         actual = chunk_file.stat().st_size
         if actual != expected:
-            raise IntegrityError(
-                f"chunk {spec.file} has {actual} bytes, expected {expected}"
-            )
+            issues.append(f"chunk {spec.file}: {actual} bytes, expected {expected}")
+    return issues
 
 
 def merge(store, out_path, overwrite=False):
@@ -342,19 +374,15 @@ def merge(store, out_path, overwrite=False):
     merging the same store twice yields byte-identical files.  Peak transient
     memory is MERGE_BUFFER_COLS columns.
     """
-    _check_chunks_complete(store)
+    issues = _structural_issues(store)
+    if issues:
+        raise IntegrityError("; ".join(issues))
     out_path = Path(out_path)
     if out_path.exists() and not overwrite:
         raise FileExistsError(f"{out_path} already exists (pass overwrite=True)")
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "rows": store.rows,
-        "cols": store.cols,
-        "dtype": DTYPE.str,
-        "layout": "column-major",
-        "source_chunk_cols": store.chunk_cols,
-        "metadata": store.metadata,
-    }
+    manifest = store.manifest_dict()
+    del manifest["chunks"]
+    manifest["source_chunk_cols"] = manifest.pop("chunk_cols")
     header = json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n"
     column_bytes = store.rows * DTYPE.itemsize
     buffer_bytes = MERGE_BUFFER_COLS * column_bytes
@@ -372,42 +400,47 @@ def merge(store, out_path, overwrite=False):
 
 
 def verify_store(source):
-    """Structural integrity check; returns a list of problem descriptions."""
-    issues = []
+    """Integrity check of either store form; returns a list of problem descriptions.
+
+    Past the structural checks, a store whose metadata records a seeded
+    Gaussian fill is regenerated chunk by chunk and compared bit for bit.
+    """
     try:
         handle = open_any(source)
-    except (OSError, IntegrityError, ValueError, KeyError) as exc:
+        issues = _structural_issues(handle)
+        seed = handle.metadata.get("fill_seed")
+        if issues or handle.metadata.get("fill") != "gaussian" or seed is None:
+            return issues
+        rng = np.random.default_rng(int(seed))
+        for start, width, label in _fill_chunks(handle):
+            expected = rng.standard_normal((handle.rows, width))
+            if not np.array_equal(read_columns(handle, start, width), expected):
+                issues.append(f"content mismatch in {label}")
+    except (OSError, IntegrityError) as exc:
         return [f"unreadable: {exc}"]
-    if isinstance(handle, ChunkedMatrixStore):
-        for spec in handle.chunks:
-            chunk_file = handle.chunk_path(spec)
-            if not chunk_file.exists():
-                issues.append(f"missing chunk file: {spec.file}")
-                continue
-            expected = handle.rows * spec.width * DTYPE.itemsize
-            actual = chunk_file.stat().st_size
-            if actual != expected:
-                issues.append(
-                    f"chunk {spec.file}: {actual} bytes, expected {expected}"
-                )
-    else:
-        expected = handle.rows * handle.cols * DTYPE.itemsize
-        actual = handle.path.stat().st_size - handle.data_offset
-        if actual != expected:
-            issues.append(f"data segment: {actual} bytes, expected {expected}")
     return issues
+
+
+def _fill_chunks(handle):
+    """(col_start, width, label) per chunk, in the order ``fill_gaussian`` draws."""
+    if isinstance(handle, ChunkedMatrixStore):
+        return [(spec.col_start, spec.width, spec.file) for spec in handle.chunks]
+    # a merged file keeps the chunk width of the store it was merged from
+    step = handle.source_chunk_cols
+    return [(start, min(step, handle.cols - start),
+             f"columns [{start}, {min(start + step, handle.cols)})")
+            for start in range(0, handle.cols, step)]
 
 
 def fill_gaussian(store, seed):
     """Fill a store with standard Gaussian data, one chunk at a time.
 
-    The draw order is chunk order, so readers can regenerate and compare any
-    prefix of chunks from the same seed.
+    The draw order is chunk order; ``verify_store`` regenerates the data in
+    the same order to detect corruption.
     """
     rng = np.random.default_rng(seed)
-    for spec in store.chunks:
-        block = rng.standard_normal((store.rows, spec.width))
-        write_columns(store, spec.col_start, block)
+    for start, width, _ in _fill_chunks(store):
+        write_columns(store, start, rng.standard_normal((store.rows, width)))
     store.metadata["fill"] = "gaussian"
     store.metadata["fill_seed"] = int(seed)
     _write_manifest(store)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from grassket.cli import main
-from grassket.storage import open_store, read_matrix
+from grassket.storage import open_merged, open_store, read_matrix
 
 
 def run(args):
@@ -143,6 +145,62 @@ def test_store_verify_names_corrupt_chunk(tmp_path, capsys):
     assert run(["store", "verify", "--path", store_path]) == 1
     output = capsys.readouterr().out
     assert store.chunks[2].file in output
+
+
+def test_store_verify_merged_fill_seed_store(tmp_path, capsys):
+    store_path, merged = tmp_path / "data.store", tmp_path / "data.mx"
+    run(["store", "create", "--path", store_path, "--rows", 32, "--cols", 10,
+         "--chunk-cols", 4, "--fill-seed", 7])
+    run(["store", "merge", "--path", store_path, "--out", merged])
+    capsys.readouterr()
+    assert run(["store", "verify", "--path", merged]) == 0
+
+    # flip one bit in column 5, which the fill drew as part of columns [4, 8)
+    handle = open_merged(merged)
+    raw = bytearray(merged.read_bytes())
+    raw[handle.data_offset + 5 * 32 * 8 + 3] ^= 0x01
+    merged.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(["store", "verify", "--path", merged]) == 1
+    assert "columns [4, 8)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("corrupt", ["bad_json", "missing_key"])
+@pytest.mark.parametrize("command", ["merge", "decompose"])
+def test_malformed_manifest_is_integrity_error(tmp_path, corrupt, command):
+    from grassket.storage import create_layout, write_columns
+
+    store = create_layout(tmp_path / "m.store", 6, 6, chunk_cols=3)
+    write_columns(store, 0, np.eye(6))
+    manifest_path = store.path / "manifest.json"
+    if corrupt == "bad_json":
+        manifest_path.write_text(manifest_path.read_text()[:-10])
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["rows"]
+        manifest_path.write_text(json.dumps(manifest))
+    if command == "merge":
+        args = ["store", "merge", "--path", store.path, "--out", tmp_path / "m.mx"]
+    else:
+        args = ["decompose", "--output-dir", tmp_path / "out",
+                "--dense-store", store.path, "--n-outer", 3]
+    assert run(args) == 3
+
+
+def test_decompose_config_records_resolved_n_inner(tmp_path):
+    out = tmp_path / "run"
+    assert run(["decompose", "--output-dir", out, "--planted-dim", 100,
+                "--planted-rank", 5, "--n-outer", 10]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config["n_inner"] == 21
+
+
+def test_curve_config_records_resolved_defaults(tmp_path):
+    out = tmp_path / "curve"
+    assert run(["curve", "--output-dir", out, "--planted-dim", 100,
+                "--planted-rank", 5, "--n-outer", 10]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert (config["n_inner"], config["top_k"]) == (21, 5)
 
 
 def test_store_create_refuses_overwrite(tmp_path):

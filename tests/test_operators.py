@@ -5,7 +5,7 @@ from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis
 from grassket.masks import SparseMask, mask_eigenspace_overlap
 from grassket.operators import (CountingOperator, DenseOperator,
-                                DiagonalOperator, PlantedOperator, apply_block,
+                                DiagonalOperator, PlantedOperator,
                                 diagonal_entry, eigh_by_magnitude, identity,
                                 magnitude_order, make_planted_operator)
 
@@ -21,12 +21,12 @@ def test_identity_maps_basis_vector():
     op = identity(4)
     e2 = np.zeros((4, 1))
     e2[2, 0] = 1.0
-    assert np.array_equal(apply_block(op, e2), e2)
+    assert np.array_equal(op.apply(e2), e2)
 
 
 def test_diagonal_action():
     op = DiagonalOperator([2.0, -2.0, 4.0])
-    out = apply_block(op, np.ones((3, 1)))
+    out = op.apply(np.ones((3, 1)))
     assert np.array_equal(out[:, 0], [2.0, -2.0, 4.0])
 
 

@@ -176,6 +176,42 @@ def test_gaussian_fill_reproducible(tmp_path):
     assert np.array_equal(read_matrix(reopened), expected)
 
 
+def test_verify_store_checks_merged_seeded_fill(tmp_path):
+    store = create_layout(tmp_path / "s.store", 32, 10, chunk_cols=4)
+    fill_gaussian(store, seed=7)
+    merged = merge(store, tmp_path / "s.mx")
+    assert merged.source_chunk_cols == 4
+    assert verify_store(merged) == []
+    raw = bytearray(merged.path.read_bytes())
+    raw[merged.data_offset + 5 * 32 * 8] ^= 0x01  # column 5
+    merged.path.write_bytes(bytes(raw))
+    assert verify_store(merged) == ["content mismatch in columns [4, 8)"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: "{not json",
+    lambda m: json.dumps({k: v for k, v in m.items() if k != "chunks"}),
+    lambda m: json.dumps({**m, "rows": "8"}),
+], ids=["bad_json", "missing_key", "non_integer"])
+def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
+    store = create_layout(tmp_path / "s.store", 8, 6, chunk_cols=3)
+    manifest_path = store.path / "manifest.json"
+    manifest_path.write_text(corrupt(json.loads(manifest_path.read_text())))
+    with pytest.raises(IntegrityError):
+        open_store(store.path)
+    assert verify_store(store.path)[0].startswith("unreadable")
+
+
+def test_malformed_merged_header_raises_integrity_error(tmp_path):
+    store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2)
+    merged = merge(store, tmp_path / "s.mx")
+    raw = merged.path.read_bytes().replace(b'"source_chunk_cols": 2',
+                                           b'"source_chunk_cols": null')
+    merged.path.write_bytes(raw)
+    with pytest.raises(IntegrityError):
+        open_merged(merged.path)
+
+
 def test_merged_reader_rejects_other_files(tmp_path):
     path = tmp_path / "not-a-store.bin"
     path.write_bytes(b"garbage")
