@@ -3,12 +3,13 @@
 Subcommands: ``decompose`` (sketched eigendecomposition of a planted or
 stored operator), ``baseline`` (random-subspace similarity grids),
 ``curve`` (exact vs sketched overlap on a planted operator), ``verify``
-(built-in self tests) and ``store create/merge/verify`` (matrix store
-management).  Every run is deterministic given its resolved configuration,
-which is written as ``config.json`` next to the outputs; nothing is written
-outside the chosen output directory.
+(the self-test in :mod:`grassket.selftest`) and ``store create/merge/verify``
+(matrix store management).  Every run is deterministic given its resolved
+configuration, which is written as ``config.json`` next to the outputs;
+nothing is written outside the chosen output directory.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-contract failure, 3 I/O.
+Exit codes: 0 success, 1 usage error, 2 numerical-contract failure, 3 I/O or
+integrity; ``verify`` exits with the number of failed checks.
 """
 
 import argparse
@@ -20,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, sketch, storage
+from . import experiments, selftest, sketch, storage
 from .errors import ContractViolation, IntegrityError
-from .grassmann import (MetricKind, metric, overlap, principal_angles,
-                        sample_stiefel)
-from .masks import SparseMask, hamming, iou, mask_basis, sample_mask
+from .grassmann import MetricKind
+from .masks import SparseMask
 from .operators import DenseOperator, make_planted_operator
 from .sketch import draw_measurements, seigh
 
@@ -154,67 +154,16 @@ def cmd_curve(args):
     return EXIT_OK
 
 
-def _check(report, name, passed, detail=""):
-    line = f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
-    print(line)
-    report.append(line)
-    return 0 if passed else 1
-
-
 def cmd_verify(args):
     out = _out_dir(args)
     _write_config(out, args)
     report = []
     failures = 0
-
-    for dim, k in ((128, 6), (512, 26), (2048, 102)):
-        check = experiments.verify_lemma(dim, k, args.samples, args.seed)
-        failures += _check(
-            report, f"chance-level overlap D={dim} k={k}", check.passed,
-            f"mean={check.mean:.6f} expected={k / dim:.6f} stderr={check.stderr:.2e}",
-        )
-
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    ok = True
-    for trial in range(500):
-        dim = 64 if trial % 2 == 0 else 1024
-        k = int(rng.integers(1, 17))
-        m1 = sample_mask(dim, k, int(rng.integers(2**32)))
-        m2 = sample_mask(dim, k, int(rng.integers(2**32)))
-        ov = overlap(mask_basis(m1), mask_basis(m2))
-        via_iou = 2.0 * iou(m1, m2) / (1.0 + iou(m1, m2))
-        via_flips = 1.0 - hamming(m1, m2) / (2.0 * k)
-        worst = max(worst, abs(ov - via_iou), abs(ov - via_flips))
-        ok = ok and worst <= 1e-12
-    failures += _check(report, "mask metric bijections (500 pairs)", ok,
-                       f"max deviation {worst:.2e}")
-
-    worst = 0.0
-    for trial in range(200):
-        b1 = sample_stiefel(48, 6, int(rng.integers(2**32)))
-        b2 = sample_stiefel(48, 6, int(rng.integers(2**32)))
-        proj = metric(MetricKind.PROJECTION_F, principal_angles(b1, b2))
-        worst = max(worst, abs(overlap(b1, b2) - (1.0 - proj**2 / 6)))
-    failures += _check(report, "overlap/projection bijection (200 pairs)",
-                       worst <= 1e-10, f"max deviation {worst:.2e}")
-
-    store_dir = out / "selftest.store"
-    data = rng.standard_normal((64, 13))
-    data[0, 0] = 5e-324  # subnormal
-    data[1, 0] = -0.0
-    store = storage.create_layout(store_dir, 64, 13, chunk_cols=4, overwrite=True)
-    storage.write_columns(store, 0, data)
-    round_trip = storage.read_columns(store, 0, 13)
-    chunk_ok = np.array_equal(round_trip, data) and np.signbit(round_trip[1, 0])
-    failures += _check(report, "store chunked round trip", bool(chunk_ok))
-    merged_a = storage.merge(store, out / "selftest-a.mx", overwrite=True)
-    merged_b = storage.merge(store, out / "selftest-b.mx", overwrite=True)
-    merged_ok = np.array_equal(storage.read_matrix(merged_a), data)
-    idempotent = (out / "selftest-a.mx").read_bytes() == (out / "selftest-b.mx").read_bytes()
-    failures += _check(report, "store merged round trip", bool(merged_ok))
-    failures += _check(report, "store merge idempotence", idempotent)
-
+    for name, passed, detail in selftest.run_checks(args.samples, args.seed, out):
+        line = f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
+        print(line)
+        report.append(line)
+        failures += not passed
     (out / "verify_report.txt").write_text("\n".join(report) + "\n", encoding="ascii")
     print(f"{len(report) - failures}/{len(report)} checks passed")
     return min(failures, 255)

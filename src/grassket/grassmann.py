@@ -27,9 +27,6 @@ __all__ = [
     "overlap",
     "sample_stiefel",
     "overlap_baseline",
-    "load_basis",
-    "metric_rows",
-    "write_metric_csv",
 ]
 
 ORTHONORMAL_ATOL = 1e-10
@@ -235,39 +232,3 @@ def overlap_baseline(dim, k):
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     return k / dim
-
-
-def load_basis(source):
-    """Load a column-orthonormal basis from a chunked or merged matrix store."""
-    from . import storage
-
-    return OrthonormalBasis(storage.read_matrix(source))
-
-
-def metric_rows(kinds, b1, b2):
-    """Evaluate a batch of metrics on one subspace pair.
-
-    Returns (kind name, dim, rank, raw value, similarity) tuples; the
-    principal angles are computed once and shared.
-    """
-    kinds = [MetricKind(k) for k in kinds]
-    angles = None
-    rows = []
-    for kind in kinds:
-        if kind is MetricKind.OVERLAP:
-            value = overlap(b1, b2)
-        else:
-            if angles is None:
-                angles = principal_angles(b1, b2)
-            value = metric(kind, angles)
-        rows.append((kind.value, b1.dim, b1.rank, value,
-                     similarity(kind, value, b1.rank)))
-    return rows
-
-
-def write_metric_csv(path, rows):
-    """Write (kind, D, k, value, similarity) rows as CSV."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("kind,D,k,value,similarity\n")
-        for kind, dim, k, value, sim in rows:
-            fh.write(f"{kind},{dim},{k},{float(value)!r},{float(sim)!r}\n")

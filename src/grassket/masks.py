@@ -25,8 +25,6 @@ __all__ = [
     "sparsity_kappa",
     "sample_mask",
     "magnitude_ranking",
-    "save_mask",
-    "load_mask",
 ]
 
 
@@ -151,24 +149,3 @@ def mask_from_rng(rng, dim, k):
 def sample_mask(dim, k, seed):
     """Uniformly random k-sparse mask; deterministic per seed."""
     return mask_from_rng(np.random.default_rng(seed), dim, k)
-
-
-def save_mask(mask, path):
-    """Write a mask as a one-line header plus newline-delimited indices."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"mask D={mask.dim} k={mask.k}\n")
-        for i in mask.indices:
-            fh.write(f"{i}\n")
-
-
-def load_mask(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "mask":
-            raise ValueError(f"not a mask file: {path}")
-        dim = int(header[1].removeprefix("D="))
-        k = int(header[2].removeprefix("k="))
-        indices = [int(line) for line in fh if line.strip()]
-    if len(indices) != k:
-        raise ValueError(f"mask file lists {len(indices)} indices, header says {k}")
-    return SparseMask(dim, np.asarray(indices))

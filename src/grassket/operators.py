@@ -204,6 +204,8 @@ class PlantedOperator(LinearOperator):
         eigvals = np.asarray(eigvals, dtype=np.float64).ravel()
         if basis.ndim != 2 or basis.shape[1] != len(eigvals):
             raise ValueError("basis must be dim-by-rank with one column per eigenvalue")
+        if not np.all(np.isfinite(eigvals)):
+            raise ValueError(f"planted eigenvalues must be finite, got {eigvals.tolist()}")
         mags = np.abs(eigvals)
         if np.any(mags[:-1] < mags[1:]):
             raise ValueError("eigenvalue magnitudes must be nonincreasing")

@@ -24,7 +24,6 @@ __all__ = [
     "sam_deltas",
     "sam_feature",
     "gradient_check",
-    "write_feature_curve",
 ]
 
 
@@ -140,9 +139,20 @@ def _ranked_cumulative(values, theta):
 def psd_subtrace(diag, theta, k):
     """Normalized subtrace of a PSD diagonal over the k largest parameters.
 
+    The k-th entry of :func:`subtrace_curve`: nondecreasing in k and exactly
+    1 at k = dim.
+    """
+    dim = np.asarray(diag).size
+    if not 1 <= k <= dim:
+        raise ValueError(f"need 1 <= k <= {dim}, got k={k}")
+    return float(subtrace_curve(diag, theta)[1][k - 1])
+
+
+def subtrace_curve(diag, theta):
+    """(k, subtrace, uniform baseline k/D) for every k, as three arrays.
+
     Tiny negative diagonal entries (>= -1e-10, rounding noise from a PSD
     operator) are clamped to zero; anything more negative is rejected.
-    Nondecreasing in k and exactly 1 at k = dim.
     """
     diag = np.asarray(diag, dtype=np.float64).ravel()
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -150,28 +160,12 @@ def psd_subtrace(diag, theta, k):
         raise ValueError("diagonal and parameter vector lengths differ")
     if np.any(diag < -1e-10):
         raise ValueError("diagonal has entries below -1e-10; operator is not PSD")
-    diag = np.maximum(diag, 0.0)
-    if not 1 <= k <= diag.size:
-        raise ValueError(f"need 1 <= k <= {diag.size}, got k={k}")
-    cumulative = _ranked_cumulative(diag, theta)
-    total = cumulative[-1]
-    if total <= 0.0:
-        raise ValueError("diagonal trace must be positive")
-    return float(cumulative[k - 1] / total)
-
-
-def subtrace_curve(diag, theta):
-    """(k, subtrace, uniform baseline k/D) for every k, as three arrays."""
-    diag = np.asarray(diag, dtype=np.float64).ravel()
-    dim = diag.size
-    ks = np.arange(1, dim + 1)
-    if np.any(diag < -1e-10):
-        raise ValueError("diagonal has entries below -1e-10; operator is not PSD")
     cumulative = _ranked_cumulative(np.maximum(diag, 0.0), theta)
     total = cumulative[-1]
     if total <= 0.0:
         raise ValueError("diagonal trace must be positive")
-    return ks, cumulative / total, ks / dim
+    ks = np.arange(1, diag.size + 1)
+    return ks, cumulative / total, ks / diag.size
 
 
 def squared_hessian_diag(H, i):
@@ -242,19 +236,3 @@ def gradient_check(obj, theta, step=1e-5, rel_tol=1e-5):
         approx[i] = (up - down) / (2.0 * step)
     scale = max(1.0, float(np.linalg.norm(grad)))
     return float(np.linalg.norm(grad - approx)) <= rel_tol * scale
-
-
-def write_feature_curve(path, diag, obj, theta, radii=(0.01, 0.1, 1.0)):
-    """Emit (k, subtrace, baseline, one delta feature per radius) as CSV."""
-    ks, xi, baseline = subtrace_curve(diag, theta)
-    columns = [ks, xi, baseline]
-    header = ["k", "subtrace", "baseline"]
-    for radius in radii:
-        cumulative = _ranked_cumulative(sam_deltas(obj, theta, radius), theta)
-        columns.append(cumulative / cumulative[-1])
-        header.append(f"delta_{radius:g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            cells = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
-            fh.write(",".join(cells) + "\n")

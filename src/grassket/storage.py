@@ -5,9 +5,9 @@ chunk files, each covering a contiguous range of columns.  Elements are
 IEEE-754 binary64, little-endian, column-major inside every chunk, so a
 column is one contiguous byte run and concurrent writers touching disjoint
 column ranges never share bytes.  ``merge`` streams the chunks into a single
-monolithic file (a one-line JSON header followed by one data segment) using a
-constant one-column buffer; reads work transparently on either form and are
-bit-exact, including signed zeros and subnormals.
+monolithic file (a one-line JSON header followed by one data segment) through
+a bounded buffer; reads work transparently on either form and are bit-exact,
+including signed zeros and subnormals.
 
 Manifest schema (format_version 1)::
 
@@ -25,6 +25,7 @@ renamed ``source_chunk_cols``.
 """
 
 import json
+import shutil
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,8 +55,6 @@ FORMAT_VERSION = 1
 DTYPE = np.dtype("<f8")
 MANIFEST_NAME = "manifest.json"
 MERGED_MAGIC = b"GKMX1\n"
-# merge streams one column at a time; peak transient buffer is rows * 8 bytes
-MERGE_BUFFER_COLS = 1
 # keep stores well under typical open-file limits
 MAX_CHUNKS = 1024
 
@@ -371,8 +370,8 @@ def merge(store, out_path, overwrite=False):
     """Stream a fully written store into one monolithic file.
 
     The header is byte-deterministic (sorted-key JSON, no timestamps), so
-    merging the same store twice yields byte-identical files.  Peak transient
-    memory is MERGE_BUFFER_COLS columns.
+    merging the same store twice yields byte-identical files.  Each chunk is
+    copied through ``shutil.copyfileobj``'s bounded buffer.
     """
     issues = _structural_issues(store)
     if issues:
@@ -384,18 +383,12 @@ def merge(store, out_path, overwrite=False):
     del manifest["chunks"]
     manifest["source_chunk_cols"] = manifest.pop("chunk_cols")
     header = json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n"
-    column_bytes = store.rows * DTYPE.itemsize
-    buffer_bytes = MERGE_BUFFER_COLS * column_bytes
     with open(out_path, "wb") as out:
         out.write(MERGED_MAGIC)
         out.write(header)
         for spec in store.chunks:
             with open(store.chunk_path(spec), "rb") as fh:
-                while True:
-                    piece = fh.read(buffer_bytes)
-                    if not piece:
-                        break
-                    out.write(piece)
+                shutil.copyfileobj(fh, out)
     return open_merged(out_path)
 
 

@@ -5,21 +5,21 @@ tolerance, and prints one machine-greppable pass/fail line.  Run with
 ``pytest -s tests/test_acceptance.py`` to see every line.
 """
 
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 
-import grassket
 from grassket.cli import main as cli_main
 from grassket.experiments import overlap_curve, ranked_theta, run_baseline
-from grassket.grassmann import (MetricKind, OrthonormalBasis, metric, overlap,
-                                principal_angles, sample_stiefel)
-from grassket.masks import (SparseMask, hamming, iou, mask_basis, sample_mask)
+from grassket.grassmann import MetricKind, OrthonormalBasis, overlap
+from grassket.masks import SparseMask
 from grassket.operators import eigh_by_magnitude, make_planted_operator
 from grassket.proxies import (QuadraticObjective,
                               masked_perturbation_expectation, psd_subtrace,
                               sam_feature, squared_hessian_diag)
+from grassket.selftest import bijection_deviations, store_round_trips
 from grassket.sketch import draw_measurements, residual_probe_norms, seigh
 
 
@@ -32,15 +32,20 @@ def _report(number, name, passed, detail=""):
 
 def test_01_chance_level_verifier(tmp_path):
     started = time.monotonic()
-    checks = {f"D={dim} k={k}": grassket.verify_lemma(dim, k, samples=200, seed=1)
-              for dim, k in ((128, 6), (512, 26), (2048, 102))}
-    elapsed = time.monotonic() - started
     exit_code = cli_main(["verify", "--output-dir", str(tmp_path),
                           "--samples", "200", "--seed", "1"])
-    all_pass = all(c.passed for c in checks.values()) and exit_code == 0
-    detail = "; ".join(f"{label} mean={c.mean:.5f}" for label, c in checks.items())
+    elapsed = time.monotonic() - started
+    report = (tmp_path / "verify_report.txt").read_text()
+    checks = {}
+    for dim, k in ((128, 6), (512, 26), (2048, 102)):
+        label = f"D={dim} k={k}"
+        line = re.search(rf"^\[(PASS|FAIL)\] chance-level overlap {label}: "
+                         r"mean=(\S+)", report, re.MULTILINE)
+        checks[label] = (line.group(1) == "PASS", float(line.group(2)))
+    all_pass = all(passed for passed, _ in checks.values()) and exit_code == 0
+    detail = "; ".join(f"{label} mean={mean:.5f}" for label, (_, mean) in checks.items())
     _report(1, "chance-level overlap at three scales", all_pass,
-            f"{detail}; lemma runtime {elapsed:.1f}s")
+            f"{detail}; verify runtime {elapsed:.1f}s")
     assert elapsed < 60.0
 
 
@@ -133,25 +138,7 @@ def test_06_sketched_overlap_fidelity():
 
 
 def test_07_bijection_suite():
-    rng = np.random.default_rng(14)
-    worst_mask = 0.0
-    for trial in range(1000):
-        dim = 64 if trial % 2 == 0 else 1024
-        k = int(rng.integers(1, 17))
-        m1 = sample_mask(dim, k, int(rng.integers(2**63)))
-        m2 = sample_mask(dim, k, int(rng.integers(2**63)))
-        ov = overlap(mask_basis(m1), mask_basis(m2))
-        j = iou(m1, m2)
-        worst_mask = max(worst_mask,
-                         abs(ov - 2 * j / (1 + j)),
-                         abs(ov - (1 - hamming(m1, m2) / (2 * k))))
-    worst_basis = 0.0
-    for trial in range(1000):
-        k = int(rng.integers(1, 9))
-        b1 = sample_stiefel(48, k, int(rng.integers(2**63)))
-        b2 = sample_stiefel(48, k, int(rng.integers(2**63)))
-        proj = metric(MetricKind.PROJECTION_F, principal_angles(b1, b2))
-        worst_basis = max(worst_basis, abs(overlap(b1, b2) - (1 - proj**2 / k)))
+    worst_mask, worst_basis = bijection_deviations(seed=14)
     ok = worst_mask <= 1e-12 and worst_basis <= 1e-10
     _report(7, "overlap bijections with IoU, bit flips and projection distance",
             ok, f"mask dev={worst_mask:.1e}, basis dev={worst_basis:.1e}")
@@ -195,44 +182,10 @@ def test_09_proxy_identities():
 
 
 def test_10_storage_bit_exactness(tmp_path):
-    from concurrent.futures import ThreadPoolExecutor
-
-    from grassket.storage import (create_layout, merge, read_matrix,
-                                  write_columns)
-
-    rng = np.random.default_rng(18)
-    ok = True
-    for trial in range(50):
-        rows = int(rng.integers(3, 40))
-        cols = int(rng.integers(1, 30))
-        data = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300)
-        data.flat[rng.integers(0, data.size)] = 5e-324
-        data.flat[rng.integers(0, data.size)] = -0.0
-        store = create_layout(tmp_path / f"t{trial}.store", rows, cols,
-                              chunk_cols=int(rng.integers(1, cols + 1)))
-        write_columns(store, 0, data)
-        reference = data.astype("<f8").tobytes()
-        merged = merge(store, tmp_path / f"t{trial}.mx")
-        ok = ok and read_matrix(store).tobytes() == reference
-        ok = ok and read_matrix(merged).tobytes() == reference
-
-    probe = create_layout(tmp_path / "idem.store", 24, 9, chunk_cols=4)
-    write_columns(probe, 0, rng.standard_normal((24, 9)))
-    merge(probe, tmp_path / "idem-a.mx")
-    merge(probe, tmp_path / "idem-b.mx")
-    idempotent = (tmp_path / "idem-a.mx").read_bytes() == \
-        (tmp_path / "idem-b.mx").read_bytes()
-
-    data = rng.standard_normal((48, 48))
-    parallel = create_layout(tmp_path / "par.store", 48, 48, chunk_cols=6)
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        for job in [pool.submit(write_columns, parallel, s, data[:, s:s + 4])
-                    for s in range(0, 48, 4)]:
-            job.result()
-    sequential = create_layout(tmp_path / "seq.store", 48, 48, chunk_cols=6)
-    write_columns(sequential, 0, data)
-    concurrent_ok = read_matrix(parallel).tobytes() == read_matrix(sequential).tobytes()
-
+    matrices, merges, writes = store_round_trips(tmp_path, seed=18)
+    ok = all(written == chunked == merged for written, chunked, merged in matrices)
+    idempotent = merges[0] == merges[1]
+    concurrent_ok = writes[0] == writes[1]
     _report(10, "storage round trips are bit exact", ok and idempotent and concurrent_ok,
             f"50 matrices, idempotent={idempotent}, concurrent={concurrent_ok}")
 

@@ -43,6 +43,13 @@ def test_decompose_rejects_bad_measurement_counts(tmp_path):
     assert not list(out.glob("*.csv"))  # no partial outputs
 
 
+def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
+    code = run(["decompose", "--output-dir", tmp_path / "nan", "--planted-dim", 50,
+                "--eigvals", "nan,1", "--n-outer", 5])
+    assert code == 1
+    assert "planted eigenvalues must be finite, got [nan, 1.0]" in capsys.readouterr().err
+
+
 def test_decompose_dense_store_requires_symmetry(tmp_path):
     from grassket.storage import create_layout, write_columns
 
@@ -110,6 +117,9 @@ def test_verify_command(tmp_path):
     report = (tmp_path / "verify/verify_report.txt").read_text()
     assert "[FAIL]" not in report
     assert report.count("[PASS]") >= 7
+    # the store round trips ran in a temporary directory that is gone
+    assert sorted(p.name for p in (tmp_path / "verify").iterdir()) == [
+        "config.json", "verify_report.txt"]
 
 
 def test_store_roundtrip_and_bitflip_detection(tmp_path):

@@ -208,39 +208,6 @@ def test_overlap_spread_shrinks_with_dimension():
     assert spreads[0] >= spreads[1] >= spreads[2]
 
 
-def test_load_basis_from_store(tmp_path):
-    from grassket.grassmann import load_basis
-    from grassket.storage import create_layout, merge, write_columns
-
-    basis = sample_stiefel(30, 4, seed=6)
-    store = create_layout(tmp_path / "b.store", 30, 4, chunk_cols=2)
-    write_columns(store, 0, basis.columns)
-    loaded = load_basis(store)
-    assert np.array_equal(loaded.columns, basis.columns)
-    merged = merge(store, tmp_path / "b.mx")
-    assert np.array_equal(load_basis(merged.path).columns, basis.columns)
-
-
-def test_metric_rows_and_csv(tmp_path):
-    from grassket.grassmann import metric_rows, write_metric_csv
-
-    b1 = sample_stiefel(26, 3, seed=7)
-    b2 = sample_stiefel(26, 3, seed=8)
-    rows = metric_rows(list(MetricKind), b1, b2)
-    assert len(rows) == len(MetricKind)
-    for kind, dim, k, value, sim in rows:
-        assert (dim, k) == (26, 3)
-        assert 0.0 <= sim <= 1.0
-    path = tmp_path / "metrics.csv"
-    write_metric_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "kind,D,k,value,similarity"
-    assert len(lines) == len(MetricKind) + 1
-    by_kind = {line.split(",")[0]: line for line in lines[1:]}
-    direct = overlap(b1, b2)
-    assert float(by_kind["overlap"].split(",")[3]) == direct
-
-
 def test_reference_means_at_large_dimension():
     # random pairs at D=2048, rho=0.05; published reference means:
     # geodesic 0.11909, chordalF 0.09984, projF 0.02513, overlap 0.04962

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from grassket.grassmann import OrthonormalBasis, overlap, sample_stiefel
-from grassket.masks import (SparseMask, hamming, iou, load_mask, mask_basis,
-                            mask_eigenspace_overlap, sample_mask, save_mask,
+from grassket.masks import (SparseMask, hamming, iou, mask_basis,
+                            mask_eigenspace_overlap, sample_mask,
                             sparsity_kappa, topk_magnitude_mask)
 from grassket.operators import eigh_by_magnitude, make_planted_operator
 
@@ -179,14 +179,3 @@ def test_sample_mask_statistics():
     assert list(sample_mask(8, 8, seed=0).indices) == list(range(8))
     assert np.array_equal(sample_mask(50, 5, seed=3).indices,
                           sample_mask(50, 5, seed=3).indices)
-
-
-def test_mask_serialization_round_trip(tmp_path):
-    mask = sample_mask(100, 7, seed=5)
-    path = tmp_path / "mask.txt"
-    save_mask(mask, path)
-    text = path.read_text()
-    assert text.startswith("mask D=100 k=7\n")
-    loaded = load_mask(path)
-    assert loaded.dim == mask.dim
-    assert np.array_equal(loaded.indices, mask.indices)

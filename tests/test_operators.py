@@ -152,6 +152,12 @@ def test_planted_requires_nonincreasing_magnitudes():
         PlantedOperator(np.eye(4)[:, :2], [1.0, 5.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_planted_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_planted_operator(50, [bad, 1.0], None, 0.0, 0)
+
+
 def test_diagonal_entry():
     assert diagonal_entry(DiagonalOperator([4.0, 3.0, 2.0, 1.0]), 1) == 3.0
     for i in range(5):

@@ -6,7 +6,7 @@ from grassket.operators import DenseOperator, DiagonalOperator
 from grassket.proxies import (QuadraticObjective, gradient_check,
                               masked_perturbation_expectation, psd_subtrace,
                               sam_deltas, sam_feature, squared_hessian_diag,
-                              subtrace_curve, write_feature_curve)
+                              subtrace_curve)
 
 
 def closed_form_deltas(obj, theta, radius):
@@ -99,6 +99,11 @@ def test_subtrace_curve_baseline():
     assert np.array_equal(xi, ks / 8)
 
 
+def test_subtrace_curve_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="lengths differ"):
+        subtrace_curve(np.ones(5), np.arange(1.0, 4.0))
+
+
 def test_squared_hessian_diag():
     op = DiagonalOperator([2.0, -2.0, 4.0])
     assert squared_hessian_diag(op, 1) == 4.0
@@ -177,19 +182,3 @@ def test_hessian_op_matches_gradient_differences():
         column = (obj.gradient(theta + e) - obj.gradient(theta - e)) / (2 * step)
         exact = obj.hessian_op.apply(e[:, None] / step)[:, 0]
         assert np.abs(column - exact).max() <= 1e-4 * max(1.0, np.abs(exact).max())
-
-
-def test_feature_curve_csv(tmp_path):
-    rng = np.random.default_rng(10)
-    half = rng.standard_normal((5, 5))
-    obj = QuadraticObjective(0.5 * (half + half.T), g0=np.ones(5))
-    theta = rng.standard_normal(5)
-    diag = np.abs(rng.standard_normal(5))
-    path = tmp_path / "features.csv"
-    write_feature_curve(path, diag, obj, theta, radii=(0.1, 1.0))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,subtrace,baseline,delta_0.1,delta_1"
-    assert len(lines) == 6
-    last = lines[-1].split(",")
-    assert float(last[1]) == 1.0 and float(last[2]) == 1.0
-    assert float(last[3]) == 1.0 and float(last[4]) == 1.0
