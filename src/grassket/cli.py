@@ -53,13 +53,14 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _out_dir(args):
+def _write_config(args):
+    """Create the output directory and write config.json into it.
+
+    Called only once a run's inputs are accepted, so a refused run leaves no
+    directory behind.
+    """
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_config(out, args):
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     for key, value in list(resolved.items()):
         if isinstance(value, Path):
@@ -68,6 +69,7 @@ def _write_config(out, args):
         json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
     )
+    return out
 
 
 def _planted_from_args(args):
@@ -96,7 +98,6 @@ def _resolve_n_inner(args):
 
 
 def cmd_decompose(args):
-    out = _out_dir(args)
     if args.dense_store is not None:
         op = DenseOperator.from_store(args.dense_store, hermitian=True)
     else:
@@ -105,9 +106,8 @@ def cmd_decompose(args):
         op, _ = _planted_from_args(args)
     n_inner = _resolve_n_inner(args)
     ensemble = draw_measurements(op.rows, n_inner, args.n_outer, args.seed)
-
-    _write_config(out, args)
     decomposition = seigh(op, ensemble)
+    out = _write_config(args)
     sketch.save_sketched_eigh(
         decomposition, out / "decomposition",
         metadata={"n_inner": n_inner, "n_outer": args.n_outer, "seed": args.seed},
@@ -122,29 +122,27 @@ def cmd_decompose(args):
 
 
 def cmd_baseline(args):
-    out = _out_dir(args)
     metrics = [MetricKind(m) for m in args.metrics.split(",") if m.strip()]
     modalities = [m.strip() for m in args.modalities.split(",") if m.strip()]
-    _write_config(out, args)
     result = experiments.run_baseline(
         _int_list(args.dims), _float_list(args.rhos), modalities, metrics,
         samples=args.samples, seed=args.seed,
     )
+    out = _write_config(args)
     result.write_csv(out / "baseline.csv")
     logger.info("baseline grid written to %s", out / "baseline.csv")
     return EXIT_OK
 
 
 def cmd_curve(args):
-    out = _out_dir(args)
     op, mask = _planted_from_args(args)
     n_inner = _resolve_n_inner(args)
     if args.top_k is None:
         args.top_k = min(args.n_outer, mask.k)
     theta = experiments.ranked_theta(op.rows, mask.indices, args.theta_seed)
-    _write_config(out, args)
     curve = experiments.overlap_curve(op, theta, args.n_outer, n_inner,
                                       args.top_k, args.seed)
+    out = _write_config(args)
     curve.write_csv(out / "curve.csv")
     with open(out / "ratio.csv", "w", encoding="ascii") as fh:
         fh.write("k,ratio\n")
@@ -155,8 +153,7 @@ def cmd_curve(args):
 
 
 def cmd_verify(args):
-    out = _out_dir(args)
-    _write_config(out, args)
+    out = _write_config(args)  # the store checks run inside the output directory
     report = []
     failures = 0
     for name, passed, detail in selftest.run_checks(args.samples, args.seed, out):

@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grassmann import (MetricKind, OrthonormalBasis, metric, overlap,
-                        principal_angles, similarity, stiefel_from_rng)
-from .masks import mask_basis, mask_from_rng, topk_magnitude_mask, mask_eigenspace_overlap
+from .grassmann import (MetricKind, metric, overlap, principal_angles,
+                        similarity, stiefel_from_rng)
+from .masks import magnitude_ranking, mask_basis, mask_from_rng
 from .operators import eigh_by_magnitude
-from .sketch import draw_measurements, seigh, truncate
+from .sketch import draw_measurements, seigh
 
 __all__ = [
     "MODALITIES",
@@ -230,9 +230,12 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     """Exact and sketched mask/eigenspace overlap for k = 1 .. k_max.
 
     Per k the mask is the top-k magnitude mask of ``theta``; the exact value
-    uses a dense eigendecomposition of the operator (skipped with a warning
-    above ``dense_max_dim``), the sketched value the rank-k truncation of one
-    sketched eigendecomposition shared by all k.
+    uses the leading k eigenvectors of a dense eigendecomposition of the
+    operator (skipped with a warning above ``dense_max_dim``), the sketched
+    value the rank-k truncation of one sketched eigendecomposition.  One
+    magnitude ranking of ``theta`` and one k_max-column eigenbasis per column
+    serve every k: the top-k mask is the first k ranked indices and the
+    rank-k eigenbasis the first k columns.
     """
     dim = op.rows
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -240,35 +243,38 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
         raise ValueError(f"theta length {theta.size} != operator dimension {dim}")
     if not 1 <= k_max <= n_outer:
         raise ValueError(f"need 1 <= k_max <= n_outer, got k_max={k_max}")
+    top = magnitude_ranking(theta)[:k_max]
 
     ensemble = draw_measurements(dim, n_inner, n_outer, seed)
     decomposition = seigh(op, ensemble)
+    sketched = _nested_overlaps(decomposition.eigenbasis(k_max).columns[top])
 
-    exact_basis = None
     if dim <= dense_max_dim:
         _, vectors = eigh_by_magnitude(_materialize(op))
-        exact_basis = vectors
+        exact = _nested_overlaps(vectors[top, :k_max])
     else:
         logger.warning(
             "dimension %d exceeds the dense-oracle cap %d; "
             "exact overlap column will be empty", dim, dense_max_dim,
         )
+        exact = [float("nan")] * k_max
 
-    points = []
-    for k in range(1, k_max + 1):
-        mask = topk_magnitude_mask(theta, k)
-        sketched_basis = truncate(decomposition, k).eigenbasis()
-        sketched = mask_eigenspace_overlap(mask, sketched_basis, k)
-        if exact_basis is not None:
-            basis_k = OrthonormalBasis(exact_basis[:, :k], check=False)
-            exact = mask_eigenspace_overlap(mask, basis_k, k)
-        else:
-            exact = float("nan")
-        points.append(CurvePoint(k=k, exact=exact, sketched=sketched,
-                                 baseline=k / dim))
+    points = [CurvePoint(k=k, exact=e, sketched=s, baseline=k / dim)
+              for k, e, s in zip(range(1, k_max + 1), exact, sketched)]
     descriptor = f"{type(op).__name__}(dim={dim})"
     return OverlapCurve(points=points, operator=descriptor,
                         n_outer=int(n_outer), n_inner=int(n_inner), seed=int(seed))
+
+
+def _nested_overlaps(rows):
+    """Overlap of the top-k mask with the rank-k eigenbasis, for every k.
+
+    ``rows[i, j]`` is the entry of eigenvector j at the i-th ranked
+    coordinate, so the k-th overlap is the squared mass of the leading k x k
+    block divided by k, as in ``masks.mask_eigenspace_overlap``.
+    """
+    squares = rows * rows
+    return [float(np.sum(squares[:k, :k]) / k) for k in range(1, len(rows) + 1)]
 
 
 def _materialize(op):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .grassmann import positive_qr, stiefel_from_rng
-from .masks import SparseMask
+from .masks import SparseMask, magnitude_ranking
 
 __all__ = [
     "LinearOperator",
@@ -21,7 +21,6 @@ __all__ = [
     "identity",
     "diagonal_entry",
     "make_planted_operator",
-    "magnitude_order",
     "eigh_by_magnitude",
 ]
 
@@ -40,17 +39,6 @@ def _check_block(X, dim, side):
     if not np.all(np.isfinite(X)):
         raise ValueError("block contains non-finite entries")
     return X
-
-
-def magnitude_order(values):
-    """Index order sorting ``values`` by nonincreasing magnitude.
-
-    Ties in magnitude are broken by signed value descending, then by original
-    index, so the ordering is deterministic.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    idx = np.arange(len(values))
-    return np.lexsort((idx, -values, -np.abs(values)))
 
 
 class LinearOperator:
@@ -293,10 +281,11 @@ def eigh_by_magnitude(matrix):
     """Dense symmetric eigendecomposition ordered by nonincreasing |eigenvalue|.
 
     Returns ``(eigvals, eigvecs)`` with ``eigvecs[:, i]`` belonging to
-    ``eigvals[i]``.  This is the exact oracle the sketched decompositions are
+    ``eigvals[i]``; a tie in magnitude keeps ``eigh``'s ascending order, so
+    -l comes before +l.  This is the exact oracle the sketched decompositions are
     judged against.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     w, V = np.linalg.eigh(matrix)
-    order = magnitude_order(w)
+    order = magnitude_ranking(w)
     return w[order], V[:, order]

@@ -1,13 +1,17 @@
 """Single-pass sketched decompositions of matrix-free linear operators.
 
-Two decompositions are provided.  ``ssvd`` factors a general operator as
-P U Sigma V^T Q^T from independent outer measurements (which span the column
-and row spaces) plus an oversampled inner measurement block that determines
-the small core matrix through two least-squares solves.  ``seigh`` is the
+Two decompositions are provided, both following the core-sketch design of
+Tropp, Yurtsever, Udell & Cevher (*Streaming low-rank matrix approximation
+with an application to scientific simulation*, SIAM J. Sci. Comput. 2019).
+``ssvd`` factors a general operator as P U Sigma V^T Q^T from independent
+outer measurements (which span the column and row spaces) plus an
+oversampled inner measurement block M = upsilon^T A omega.  ``seigh`` is the
 symmetric variant: conjugate symmetry lets the row basis equal the column
-basis, the outer measurements are recycled into the inner block, and the core
-is eigendecomposed instead, giving Q U Lambda U^T Q^T from n_inner operator
-applications total.
+basis and the outer measurements are recycled into the inner block, giving
+Q U Lambda U^T Q^T from n_inner operator applications total.  In both, the
+small core (upsilon^T P)^+ M ((omega^T Q)^+)^T comes from two minimum-norm
+least-squares solves; ``ssvd`` then takes its SVD, ``seigh`` the
+eigendecomposition of its symmetric part.
 
 Both access the operator only through block application, so they run
 unchanged on implicit operators of any size; all remaining work happens on
@@ -15,15 +19,16 @@ thin (D x n_outer) or small (n_inner x n_inner) matrices.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ContractViolation
 from .grassmann import OrthonormalBasis
-from .operators import magnitude_order
+from .masks import magnitude_ranking
 
 __all__ = [
     "MeasurementEnsemble",
@@ -57,21 +62,21 @@ def default_inner_count(n_outer):
 class MeasurementEnsemble:
     """Reproducible Gaussian measurement matrices for one operator side.
 
-    Three core matrices are materialized eagerly: ``upsilon`` (dim x n_inner),
-    ``omega_inner`` (dim x (n_inner - n_outer)) and ``omega_outer``
-    (dim x n_outer), drawn from mutually independent streams of one seed.
-    Two further independent matrices are generated lazily for ``ssvd``, which
-    needs uncorrelated outer/inner measurements on both sides instead of the
-    recycling ``seigh`` performs.
+    Two core matrices are materialized eagerly: ``upsilon`` (dim x n_inner)
+    and ``omega_full`` (dim x n_inner).  The leading n_inner - n_outer columns
+    of ``omega_full`` (``omega_inner``) and its trailing n_outer columns
+    (``omega_outer``) are views; all three blocks come from mutually
+    independent streams of one seed.  Two further independent matrices are
+    generated lazily for ``ssvd``, which needs uncorrelated outer/inner
+    measurements on both sides instead of the recycling ``seigh`` performs.
     """
 
     seed: int
     dim: int
     n_inner: int
     n_outer: int
-    upsilon: np.ndarray = None
-    omega_inner: np.ndarray = None
-    omega_outer: np.ndarray = None
+    upsilon: np.ndarray = field(init=False)
+    omega_full: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.n_outer <= self.n_inner:
@@ -83,23 +88,27 @@ class MeasurementEnsemble:
             raise ValueError(
                 f"n_inner={self.n_inner} exceeds operator dimension {self.dim}"
             )
-        if self.upsilon is None:
-            streams = self._streams
-            self.upsilon = streams[0].standard_normal((self.dim, self.n_inner))
-            self.omega_inner = streams[1].standard_normal(
-                (self.dim, self.n_inner - self.n_outer)
-            )
-            self.omega_outer = streams[2].standard_normal((self.dim, self.n_outer))
+        streams = self._streams
+        split = self.n_inner - self.n_outer
+        self.upsilon = streams[0].standard_normal((self.dim, self.n_inner))
+        self.omega_full = np.empty((self.dim, self.n_inner))
+        self.omega_full[:, :split] = streams[1].standard_normal((self.dim, split))
+        self.omega_full[:, split:] = streams[2].standard_normal((self.dim, self.n_outer))
+
+    @property
+    def omega_inner(self):
+        """The leading dim x (n_inner - n_outer) columns of ``omega_full``."""
+        return self.omega_full[:, :self.n_inner - self.n_outer]
+
+    @property
+    def omega_outer(self):
+        """The trailing dim x n_outer columns of ``omega_full``."""
+        return self.omega_full[:, self.n_inner - self.n_outer:]
 
     @cached_property
     def _streams(self):
         children = np.random.SeedSequence(self.seed).spawn(5)
         return [np.random.default_rng(c) for c in children]
-
-    @property
-    def omega_full(self):
-        """The full dim x n_inner right measurement block [omega_inner, omega_outer]."""
-        return np.hstack([self.omega_inner, self.omega_outer])
 
     @cached_property
     def upsilon_outer(self):
@@ -115,8 +124,8 @@ class MeasurementEnsemble:
 def draw_measurements(dim, n_inner, n_outer, seed):
     """Draw a reproducible Gaussian measurement ensemble.
 
-    Same seed gives bit-identical matrices; the three blocks come from
-    mutually independent streams.
+    Same seed gives bit-identical matrices; the blocks come from mutually
+    independent streams.
     """
     return MeasurementEnsemble(seed=int(seed), dim=int(dim), n_inner=int(n_inner),
                                n_outer=int(n_outer))
@@ -232,6 +241,17 @@ def _lstsq_minnorm(A, B, what):
     return solution
 
 
+def _core(upsilon, P, M, omega, Q):
+    """Core C = (upsilon^T P)^+ M ((omega^T Q)^+)^T of an inner block M.
+
+    When A = P C Q^T, the inner block M = upsilon^T A omega equals
+    (upsilon^T P) C (omega^T Q)^T, so C follows from two minimum-norm
+    least-squares solves, one per side.
+    """
+    half = _lstsq_minnorm(upsilon.T @ P, M, "left core")            # n_o x n_i
+    return _lstsq_minnorm(omega.T @ Q, half.T, "right core").T      # n_o x n_o
+
+
 def _check_ensemble(ens, dim, side):
     if ens.dim != dim:
         raise ValueError(
@@ -272,10 +292,7 @@ def ssvd(A, ens, right_ens=None):
     P, ndef_p = _orthonormal_range(col_sketch, "column")
     Q, ndef_q = _orthonormal_range(row_sketch, "row")
 
-    half = _lstsq_minnorm(ups_inner.T @ P, M_inner, "left core")      # n_o x n_i
-    core = _lstsq_minnorm(omg_inner.T @ Q, half.T, "right core").T    # n_o x n_o
-
-    U, singvals, Vt = np.linalg.svd(core)
+    U, singvals, Vt = np.linalg.svd(_core(ups_inner, P, M_inner, omg_inner, Q))
     n_deficient = max(ndef_p, ndef_q)
     if n_deficient:
         singvals = singvals.copy()
@@ -289,11 +306,11 @@ def seigh(A, ens):
     The outer sketch M_O = A @ omega_outer is orthonormalized into the range
     basis Q and recycled: together with A @ omega_inner it forms the right
     half of the inner block M_I = upsilon^T A [omega_inner, omega_outer], so
-    the operator is applied to exactly n_inner columns in total.  The inner
-    block is SVD'd, both pseudoinverses are solved as least-squares problems
-    against independent left/right factors, and the small core
-    C = C_L diag(s) C_R^T is symmetrized and eigendecomposed.  Eigenvalues
-    come back ordered by nonincreasing magnitude with the columns of U
+    the operator is applied to exactly n_inner columns in total.  The small
+    core C = (upsilon^T Q)^+ M_I ((omega_full^T Q)^+)^T comes from two
+    least-squares solves (Tropp et al. 2019, see the module docstring), is
+    symmetrized and eigendecomposed.  Eigenvalues come back ordered by
+    nonincreasing magnitude, lower index first on ties, with the columns of U
     permuted to match.
     """
     if not A.hermitian:
@@ -301,19 +318,12 @@ def seigh(A, ens):
     _check_ensemble(ens, A.rows, "dimension")
 
     outer_sketch = A.apply(ens.omega_outer)                   # D x n_o
+    M_inner = ens.upsilon.T @ outer_sketch                    # outer columns of M_I
     if ens.n_inner > ens.n_outer:
-        inner_sketch = A.apply(ens.omega_inner)               # D x (n_i - n_o)
-        applied = np.hstack([inner_sketch, outer_sketch])
-    else:
-        applied = outer_sketch
-    M_inner = ens.upsilon.T @ applied                         # n_i x n_i
+        M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
 
     Q, n_deficient = _orthonormal_range(outer_sketch, "outer")
-
-    U_bar, s_bar, Vt_bar = np.linalg.svd(M_inner)
-    C_left = _lstsq_minnorm(ens.upsilon.T @ Q, U_bar, "left core")     # n_o x n_i
-    C_right = _lstsq_minnorm(ens.omega_full.T @ Q, Vt_bar.T, "right core")
-    core = C_left @ (s_bar[:, None] * C_right.T)              # n_o x n_o
+    core = _core(ens.upsilon, Q, M_inner, ens.omega_full, Q)  # n_o x n_o
 
     core_norm = np.linalg.norm(core)
     asymmetry = 0.0 if core_norm == 0 else float(
@@ -322,7 +332,7 @@ def seigh(A, ens):
     core = 0.5 * (core + core.T)
 
     eigvals, U = np.linalg.eigh(core)
-    order = magnitude_order(eigvals)
+    order = magnitude_ranking(eigvals)
     eigvals, U = eigvals[order], U[:, order]
     if n_deficient:
         eigvals = eigvals.copy()
@@ -365,7 +375,8 @@ def save_sketched_eigh(dec, path, metadata=None):
     """Persist a sketched eigendecomposition as two column stores plus manifest."""
     from . import storage
 
-    path = storage.ensure_dir(path)
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
     meta = dict(metadata or {})
     meta["eigvals"] = [float(v) for v in dec.eigvals]
     meta["core_asymmetry"] = dec.core_asymmetry
@@ -380,7 +391,6 @@ def save_sketched_eigh(dec, path, metadata=None):
 
 def load_sketched_eigh(path):
     from . import storage
-    from pathlib import Path
 
     path = Path(path)
     q_store = storage.open_store(path / "q.store")

@@ -48,7 +48,6 @@ __all__ = [
     "merge",
     "verify_store",
     "fill_gaussian",
-    "ensure_dir",
 ]
 
 FORMAT_VERSION = 1
@@ -114,28 +113,21 @@ class MergedMatrix:
     metadata: dict
 
 
-def ensure_dir(path):
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False,
-                  max_chunks=MAX_CHUNKS):
+def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
     """Allocate a write-ready chunked store for a rows-by-cols matrix.
 
     Chunk files are created at full size immediately (zero-filled, sparse
     where the filesystem allows), so concurrent writers only ever seek and
-    write inside preexisting files.  ``max_chunks`` caps the chunk count so
-    downstream tools stay clear of open-file limits.
+    write inside preexisting files.  The chunk count is capped at MAX_CHUNKS
+    so downstream tools stay clear of open-file limits.
     """
     rows, cols, chunk_cols = int(rows), int(cols), int(chunk_cols)
     if min(rows, cols, chunk_cols) < 1:
         raise ValueError("rows, cols and chunk_cols must all be positive")
     n_chunks = -(-cols // chunk_cols)
-    if n_chunks > max_chunks:
+    if n_chunks > MAX_CHUNKS:
         raise ValueError(
-            f"{n_chunks} chunks exceed the {max_chunks}-chunk limit; "
+            f"{n_chunks} chunks exceed the {MAX_CHUNKS}-chunk limit; "
             "raise chunk_cols"
         )
     path = Path(path)

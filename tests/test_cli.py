@@ -50,6 +50,17 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
     assert "planted eigenvalues must be finite, got [nan, 1.0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["decompose", "--planted-dim", 50, "--eigvals", "nan,1", "--n-outer", 5],
+    ["baseline", "--metrics", "bogus"],
+    ["curve", "--planted-dim", 50, "--planted-rank", 5, "--n-outer", 60],
+], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim"])
+def test_refused_run_leaves_no_output_dir(tmp_path, args):
+    out = tmp_path / "out"
+    assert run(args + ["--output-dir", out]) == 1
+    assert not out.exists()
+
+
 def test_decompose_dense_store_requires_symmetry(tmp_path):
     from grassket.storage import create_layout, write_columns
 
@@ -221,6 +232,13 @@ def test_store_create_refuses_overwrite(tmp_path):
                 "--cols", 4, "--chunk-cols", 2]) == 3
     assert run(["store", "create", "--path", store_path, "--rows", 4,
                 "--cols", 4, "--chunk-cols", 2, "--overwrite"]) == 0
+
+
+def test_store_create_refuses_too_many_chunks(tmp_path):
+    store_path = tmp_path / "many.store"
+    assert run(["store", "create", "--path", store_path, "--rows", 2,
+                "--cols", 2000, "--chunk-cols", 1]) == 1
+    assert not store_path.exists()
 
 
 def test_unknown_flag_is_hard_error():

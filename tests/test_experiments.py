@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from grassket.experiments import (CurvePoint, OverlapCurve, overlap_curve,
+from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
+                                  OverlapCurve, overlap_curve,
                                   overlap_ratio_report, ranked_theta, rho_to_k,
                                   run_baseline, verify_lemma)
-from grassket.grassmann import MetricKind
-from grassket.masks import SparseMask, topk_magnitude_mask
-from grassket.operators import make_planted_operator
+from grassket.grassmann import MetricKind, OrthonormalBasis
+from grassket.masks import (SparseMask, mask_eigenspace_overlap,
+                            topk_magnitude_mask)
+from grassket.operators import eigh_by_magnitude, make_planted_operator
+from grassket.sketch import draw_measurements, seigh, truncate
 
 
 def test_rho_to_k():
@@ -160,6 +163,30 @@ def test_overlap_curve_dense_cap_skips_exact(caplog):
     assert all(np.isnan(p.exact) for p in curve.points)
     assert all(np.isfinite(p.sketched) for p in curve.points)
     assert any("dense-oracle cap" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("dense_max_dim", [DENSE_ORACLE_MAX_DIM, 89],
+                         ids=["exact", "above-cap"])
+def test_overlap_curve_matches_per_k_definition(dense_max_dim):
+    dim, rank, n_outer, n_inner = 90, 10, 12, 25
+    mask = SparseMask(dim, np.arange(0, 2 * rank, 2))
+    op = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 0.5, seed=14)
+    theta = np.random.default_rng(15).standard_normal(dim)
+    theta[7] = -theta[3]  # a magnitude tie, settled by the one ranking rule
+    curve = overlap_curve(op, theta, n_outer, n_inner, k_max=rank, seed=16,
+                          dense_max_dim=dense_max_dim)
+    dec = seigh(op, draw_measurements(dim, n_inner, n_outer, seed=16))
+    _, vectors = eigh_by_magnitude(op.materialize())
+    assert [p.k for p in curve.points] == list(range(1, rank + 1))
+    for p in curve.points:
+        top = topk_magnitude_mask(theta, p.k)
+        sketched = mask_eigenspace_overlap(top, truncate(dec, p.k).eigenbasis(), p.k)
+        assert abs(p.sketched - sketched) <= 1e-12
+        if dense_max_dim < dim:
+            assert np.isnan(p.exact)
+        else:
+            exact_basis = OrthonormalBasis(vectors[:, :p.k], check=False)
+            assert abs(p.exact - mask_eigenspace_overlap(top, exact_basis, p.k)) <= 1e-12
 
 
 def test_curve_csv_format(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 
 from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis
-from grassket.masks import SparseMask, mask_eigenspace_overlap
+from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
 from grassket.operators import (CountingOperator, DenseOperator,
                                 DiagonalOperator, PlantedOperator,
                                 diagonal_entry, eigh_by_magnitude, identity,
-                                magnitude_order, make_planted_operator)
+                                make_planted_operator)
 
 
 def exact_topk_overlap(op, mask, k):
@@ -187,9 +187,9 @@ def test_counting_operator():
 
 
 def test_magnitude_order_tie_rule():
-    # equal magnitudes: positive value first, then lower index
+    # equal magnitudes: lower index first, whatever the sign
     values = np.array([1.0, -3.0, 3.0, 2.0, 3.0])
-    assert list(magnitude_order(values)) == [2, 4, 1, 3, 0]
+    assert list(magnitude_ranking(values)) == [1, 2, 4, 3, 0]
 
 
 def test_eigh_by_magnitude_ordering():

@@ -45,6 +45,17 @@ def test_measurements_shapes_and_validation():
         draw_measurements(4, 9, 2, seed=0)  # n_inner > dim
 
 
+def test_omega_full_holds_both_streams_as_views():
+    ens = draw_measurements(16, 9, 4, seed=3)
+    assert np.shares_memory(ens.omega_outer, ens.omega_full)
+    assert np.shares_memory(ens.omega_inner, ens.omega_full)
+    # stream 1 fills the leading inner columns, stream 2 the trailing outer ones
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(5)]
+    assert np.array_equal(ens.upsilon, streams[0].standard_normal((16, 9)))
+    assert np.array_equal(ens.omega_full[:, :5], streams[1].standard_normal((16, 5)))
+    assert np.array_equal(ens.omega_full[:, 5:], streams[2].standard_normal((16, 4)))
+
+
 def test_measurements_entrywise_mean():
     ens = draw_measurements(1030, 980, 300, seed=1)
     assert ens.upsilon.size >= 10**6
