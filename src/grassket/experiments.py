@@ -6,7 +6,8 @@ dimensions and sparsity ratios and tabulates the distribution of every
 requested normalized similarity, reproducing the empirical chance levels the
 overlap analysis is judged against.  The overlap curve study runs the full
 pipeline on a planted operator: magnitude masks from a parameter vector,
-exact overlap from a dense eigendecomposition, sketched overlap from the
+exact overlap from the operator's planted eigenpairs (a dense
+eigendecomposition for any other operator), sketched overlap from the
 truncated sketched eigendecomposition, and the k/D chance level.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from .grassmann import (MetricKind, metric, overlap, principal_angles,
                         similarity, stiefel_from_rng)
 from .masks import magnitude_ranking, mask_basis, mask_from_rng
-from .operators import eigh_by_magnitude
+from .operators import PlantedOperator, eigh_by_magnitude
 from .sketch import draw_measurements, seigh
 
 __all__ = [
@@ -198,25 +199,32 @@ def ranked_theta(dim, priority, seed):
 @dataclass(frozen=True)
 class CurvePoint:
     k: int
-    exact: float  # may be nan when the dense oracle was skipped
+    exact: float  # nan when the exact oracle was skipped
     sketched: float
     baseline: float
 
 
 @dataclass
 class OverlapCurve:
-    """Exact and sketched mask/eigenspace overlap per k, with chance level."""
+    """Exact and sketched mask/eigenspace overlap per k, with chance level.
+
+    ``exact_source`` names the oracle behind the exact column: ``planted``
+    (the operator's own eigenpairs), ``dense`` (a dense eigendecomposition)
+    or ``skipped`` (above the dense-oracle cap; the column is all NaN).
+    """
 
     points: list
     operator: str
     n_outer: int
     n_inner: int
     seed: int
+    exact_source: str = "dense"
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="ascii") as fh:
             fh.write(f"# seed={self.seed} n_outer={self.n_outer} "
-                     f"n_inner={self.n_inner} operator={self.operator}\n")
+                     f"n_inner={self.n_inner} operator={self.operator} "
+                     f"exact_source={self.exact_source}\n")
             writer = csv.writer(fh)
             writer.writerow(["k", "exact", "sketched", "baseline", "ratio"])
             for p in self.points:
@@ -230,12 +238,21 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     """Exact and sketched mask/eigenspace overlap for k = 1 .. k_max.
 
     Per k the mask is the top-k magnitude mask of ``theta``; the exact value
-    uses the leading k eigenvectors of a dense eigendecomposition of the
-    operator (skipped with a warning above ``dense_max_dim``), the sketched
-    value the rank-k truncation of one sketched eigendecomposition.  One
-    magnitude ranking of ``theta`` and one k_max-column eigenbasis per column
-    serve every k: the top-k mask is the first k ranked indices and the
-    rank-k eigenbasis the first k columns.
+    uses the leading k eigenvectors of the operator, the sketched value the
+    rank-k truncation of one sketched eigendecomposition.  A
+    ``PlantedOperator`` gives its exact eigenvectors straight from its planted
+    basis, already ordered by nonincreasing |eigenvalue|; any other operator
+    gets a dense eigendecomposition.  The exact column is skipped with a
+    warning above ``dense_max_dim``, whatever the operator.  On a planted
+    operator a ``k_max`` past the planted rank (its count of nonzero
+    eigenvalues) is refused: the top-k eigenspace is an arbitrary pick from
+    the null space there.  At a magnitude tie that straddles k the top-k
+    eigenspace is not unique either, and either oracle's pick is one valid
+    basis of it.
+
+    One magnitude ranking of ``theta`` and one k_max-column eigenbasis per
+    column serve every k: the top-k mask is the first k ranked indices and
+    the rank-k eigenbasis the first k columns.
     """
     dim = op.rows
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -243,6 +260,14 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
         raise ValueError(f"theta length {theta.size} != operator dimension {dim}")
     if not 1 <= k_max <= n_outer:
         raise ValueError(f"need 1 <= k_max <= n_outer, got k_max={k_max}")
+    planted = isinstance(op, PlantedOperator)
+    if planted:
+        rank = int(np.count_nonzero(op.eigvals))
+        if k_max > rank:
+            raise ValueError(
+                f"k_max={k_max} exceeds the planted rank {rank}; "
+                "top-k eigenspaces past the rank are not unique"
+            )
     top = magnitude_ranking(theta)[:k_max]
 
     ensemble = draw_measurements(dim, n_inner, n_outer, seed)
@@ -250,20 +275,25 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     sketched = _nested_overlaps(decomposition.eigenbasis(k_max).columns[top])
 
     if dim <= dense_max_dim:
-        _, vectors = eigh_by_magnitude(_materialize(op))
+        if planted:
+            vectors, source = op.basis, "planted"
+        else:
+            matrix = op.matrix if hasattr(op, "matrix") else op.apply(np.eye(op.cols))
+            vectors, source = eigh_by_magnitude(matrix)[1], "dense"
         exact = _nested_overlaps(vectors[top, :k_max])
     else:
         logger.warning(
             "dimension %d exceeds the dense-oracle cap %d; "
             "exact overlap column will be empty", dim, dense_max_dim,
         )
-        exact = [float("nan")] * k_max
+        exact, source = [float("nan")] * k_max, "skipped"
 
     points = [CurvePoint(k=k, exact=e, sketched=s, baseline=k / dim)
               for k, e, s in zip(range(1, k_max + 1), exact, sketched)]
     descriptor = f"{type(op).__name__}(dim={dim})"
     return OverlapCurve(points=points, operator=descriptor,
-                        n_outer=int(n_outer), n_inner=int(n_inner), seed=int(seed))
+                        n_outer=int(n_outer), n_inner=int(n_inner), seed=int(seed),
+                        exact_source=source)
 
 
 def _nested_overlaps(rows):
@@ -275,14 +305,6 @@ def _nested_overlaps(rows):
     """
     squares = rows * rows
     return [float(np.sum(squares[:k, :k]) / k) for k in range(1, len(rows) + 1)]
-
-
-def _materialize(op):
-    if hasattr(op, "materialize"):
-        return op.materialize()
-    if hasattr(op, "matrix"):
-        return op.matrix
-    return op.apply(np.eye(op.cols))
 
 
 def overlap_ratio_report(curve, column="sketched"):

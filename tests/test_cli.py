@@ -54,7 +54,10 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
     ["decompose", "--planted-dim", 50, "--eigvals", "nan,1", "--n-outer", 5],
     ["baseline", "--metrics", "bogus"],
     ["curve", "--planted-dim", 50, "--planted-rank", 5, "--n-outer", 60],
-], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim"])
+    ["curve", "--planted-dim", 100, "--planted-rank", 5, "--n-outer", 10,
+     "--top-k", 8],
+], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
+        "curve-top-k-above-rank"])
 def test_refused_run_leaves_no_output_dir(tmp_path, args):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1

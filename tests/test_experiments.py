@@ -8,7 +8,8 @@ from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
 from grassket.grassmann import MetricKind, OrthonormalBasis
 from grassket.masks import (SparseMask, mask_eigenspace_overlap,
                             topk_magnitude_mask)
-from grassket.operators import eigh_by_magnitude, make_planted_operator
+from grassket.operators import (DenseOperator, eigh_by_magnitude,
+                                make_planted_operator)
 from grassket.sketch import draw_measurements, seigh, truncate
 
 
@@ -224,3 +225,55 @@ def test_overlap_ratio_report_aligned_and_blended():
     curve = overlap_curve(blended, theta, n_outer=10, n_inner=21, k_max=rank, seed=13)
     k, ratio = overlap_ratio_report(curve, column="exact")[-1]
     assert 1.0 < ratio < dim / rank
+
+
+def test_overlap_curve_planted_oracle_matches_dense(monkeypatch):
+    dim, rank, n_outer, n_inner = 90, 10, 12, 25
+    mask = SparseMask(dim, np.arange(0, 2 * rank, 2))
+    op = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 0.5, seed=14)
+    theta = np.random.default_rng(15).standard_normal(dim)
+    dense = overlap_curve(DenseOperator(op.materialize(), hermitian=True), theta,
+                          n_outer, n_inner, k_max=rank, seed=16)
+
+    def no_dense_oracle(matrix):
+        raise AssertionError("dense oracle called on a planted operator")
+
+    monkeypatch.setattr("grassket.experiments.eigh_by_magnitude", no_dense_oracle)
+    planted = overlap_curve(op, theta, n_outer, n_inner, k_max=rank, seed=16)
+    assert (planted.exact_source, dense.exact_source) == ("planted", "dense")
+    for p, q in zip(planted.points, dense.points):
+        assert abs(p.exact - q.exact) <= 1e-12
+
+
+def test_overlap_curve_planted_above_cap_is_skipped():
+    dim, rank = 60, 4
+    op = make_planted_operator(dim, np.arange(rank, 0, -1.0), None, 0.0, seed=6)
+    theta = ranked_theta(dim, np.arange(rank), seed=7)
+    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8,
+                          dense_max_dim=dim - 1)
+    assert curve.exact_source == "skipped"
+    assert all(np.isnan(p.exact) for p in curve.points)
+
+
+@pytest.mark.parametrize("eigvals, k_max, rank", [
+    (np.arange(5, 0, -1.0), 8, 5),
+    (np.array([3.0, 2.0, 0.0]), 3, 2),
+], ids=["past-eigvals", "zero-eigval"])
+def test_overlap_curve_refuses_k_past_planted_rank(eigvals, k_max, rank):
+    op = make_planted_operator(100, eigvals, None, 0.0, seed=0)
+    theta = ranked_theta(100, np.arange(len(eigvals)), seed=1)
+    with pytest.raises(ValueError, match=f"k_max={k_max} exceeds the planted rank {rank};"):
+        overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=k_max, seed=2)
+
+
+def test_curve_csv_records_exact_source(tmp_path):
+    points = [CurvePoint(k=1, exact=0.5, sketched=0.25, baseline=0.125)]
+    default = OverlapCurve(points=points, operator="probe", n_outer=4, n_inner=9,
+                           seed=1)
+    planted = OverlapCurve(points=points, operator="probe", n_outer=4, n_inner=9,
+                           seed=1, exact_source="planted")
+    path = tmp_path / "curve.csv"
+    for curve, source in ((default, "dense"), (planted, "planted")):
+        curve.write_csv(path)
+        assert path.read_text().splitlines()[0] == (
+            f"# seed=1 n_outer=4 n_inner=9 operator=probe exact_source={source}")
