@@ -13,11 +13,10 @@ from .masks import (SparseMask, hamming, iou, mask_basis,
                     mask_eigenspace_overlap, sample_mask, sparsity_kappa,
                     topk_magnitude_mask)
 from .operators import (CountingOperator, DenseOperator, DiagonalOperator,
-                        LinearOperator, PlantedOperator, diagonal_entry,
-                        eigh_by_magnitude, identity, make_planted_operator)
-from .proxies import (QuadraticObjective, ScalarObjective,
-                      masked_perturbation_expectation, psd_subtrace,
-                      sam_feature, squared_hessian_diag)
+                        LinearOperator, PlantedOperator, eigh_by_magnitude,
+                        make_planted_operator)
+from .proxies import (QuadraticObjective, masked_perturbation_expectation,
+                      psd_subtrace, sam_feature, squared_hessian_diag)
 from .sketch import (MeasurementEnsemble, SketchedEigh, SketchedSvd,
                      draw_measurements, residual_estimate, seigh, ssvd,
                      truncate)

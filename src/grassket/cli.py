@@ -113,7 +113,8 @@ def cmd_decompose(args):
         metadata={"n_inner": n_inner, "n_outer": args.n_outer, "seed": args.seed},
     )
     with open(out / "eigvals.csv", "w", encoding="ascii") as fh:
-        fh.write(f"# seed={args.seed} n_outer={args.n_outer} n_inner={n_inner}\n")
+        fh.write(f"# seed={args.seed} n_outer={args.n_outer} n_inner={n_inner} "
+                 f"numerical_rank={decomposition.numerical_rank}\n")
         fh.write("index,eigval\n")
         for i, value in enumerate(decomposition.eigvals):
             fh.write(f"{i},{float(value)!r}\n")

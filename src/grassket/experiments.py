@@ -22,7 +22,7 @@ from .grassmann import (MetricKind, metric, overlap, principal_angles,
                         similarity, stiefel_from_rng)
 from .masks import magnitude_ranking, mask_basis, mask_from_rng
 from .operators import PlantedOperator, eigh_by_magnitude
-from .sketch import draw_measurements, seigh
+from .sketch import blas_threads_for, draw_measurements, seigh
 
 __all__ = [
     "MODALITIES",
@@ -243,16 +243,18 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     ``PlantedOperator`` gives its exact eigenvectors straight from its planted
     basis, already ordered by nonincreasing |eigenvalue|; any other operator
     gets a dense eigendecomposition.  The exact column is skipped with a
-    warning above ``dense_max_dim``, whatever the operator.  On a planted
-    operator a ``k_max`` past the planted rank (its count of nonzero
-    eigenvalues) is refused: the top-k eigenspace is an arbitrary pick from
-    the null space there.  At a magnitude tie that straddles k the top-k
+    warning above ``dense_max_dim``, whatever the operator.  A ``k_max``
+    past the sketch's numerical rank is refused: the top-k eigenspace is an
+    arbitrary pick from the null space there.  On a planted operator the
+    planted rank (its count of nonzero eigenvalues) is checked first, before
+    any operator application.  At a magnitude tie that straddles k the top-k
     eigenspace is not unique either, and either oracle's pick is one valid
     basis of it.
 
     One magnitude ranking of ``theta`` and one k_max-column eigenbasis per
     column serve every k: the top-k mask is the first k ranked indices and
-    the rank-k eigenbasis the first k columns.
+    the rank-k eigenbasis the first k columns.  The sketched column runs
+    under ``sketch.blas_threads_for(dim)``, on one BLAS thread at desk scale.
     """
     dim = op.rows
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -270,9 +272,17 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
             )
     top = magnitude_ranking(theta)[:k_max]
 
-    ensemble = draw_measurements(dim, n_inner, n_outer, seed)
-    decomposition = seigh(op, ensemble)
-    sketched = _nested_overlaps(decomposition.eigenbasis(k_max).columns[top])
+    with blas_threads_for(dim):
+        ensemble = draw_measurements(dim, n_inner, n_outer, seed)
+        decomposition = seigh(op, ensemble)
+        eigenbasis = decomposition.eigenbasis(k_max)
+    if k_max > decomposition.numerical_rank:
+        raise ValueError(
+            f"k_max={k_max} exceeds the numerical rank "
+            f"{decomposition.numerical_rank} of the sketch; "
+            "top-k eigenspaces past the rank are not unique"
+        )
+    sketched = _nested_overlaps(eigenbasis.columns[top])
 
     if dim <= dense_max_dim:
         if planted:

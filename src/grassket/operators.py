@@ -18,8 +18,6 @@ __all__ = [
     "DiagonalOperator",
     "PlantedOperator",
     "CountingOperator",
-    "identity",
-    "diagonal_entry",
     "make_planted_operator",
     "eigh_by_magnitude",
 ]
@@ -84,18 +82,6 @@ class LinearOperator:
         return self._apply_adjoint(X)
 
 
-def diagonal_entry(op, i):
-    """Read one diagonal entry of a hermitian operator via a single apply."""
-    if not op.hermitian:
-        raise ContractViolation("diagonal_entry requires a hermitian operator")
-    i = int(i)
-    if not 0 <= i < op.cols:
-        raise ValueError(f"index {i} out of range for dimension {op.cols}")
-    e = np.zeros((op.cols, 1))
-    e[i, 0] = 1.0
-    return float(op.apply(e)[i, 0])
-
-
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit matrix (the exact-oracle workhorse)."""
 
@@ -136,11 +122,6 @@ class DiagonalOperator(LinearOperator):
 
     def _apply(self, X):
         return self.diag[:, None] * X
-
-
-def identity(dim):
-    """The identity operator on R^dim."""
-    return DiagonalOperator(np.ones(dim))
 
 
 class CountingOperator(LinearOperator):

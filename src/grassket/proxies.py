@@ -14,7 +14,6 @@ import numpy as np
 from .masks import magnitude_ranking
 
 __all__ = [
-    "ScalarObjective",
     "QuadraticObjective",
     "masked_perturbation_expectation",
     "psd_subtrace",
@@ -23,34 +22,10 @@ __all__ = [
     "sam_direction",
     "sam_deltas",
     "sam_feature",
-    "gradient_check",
 ]
 
 
-class ScalarObjective:
-    """A differentiable scalar function of a parameter vector.
-
-    Subclasses implement ``value`` and ``gradient``; ``hessian_op`` may be
-    provided when second-order structure is available.
-    """
-
-    def __init__(self, dim, hessian_op=None):
-        self.dim = int(dim)
-        self.hessian_op = hessian_op
-
-    def value(self, theta):
-        raise NotImplementedError
-
-    def gradient(self, theta):
-        raise NotImplementedError
-
-    def value_batch(self, thetas):
-        """Values for a batch of parameter vectors (rows of ``thetas``)."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        return np.array([self.value(t) for t in thetas])
-
-
-class QuadraticObjective(ScalarObjective):
+class QuadraticObjective:
     """L(theta) = c0 + g0^T theta + 0.5 theta^T H0 theta.
 
     The gradient is g0 + H0 theta and the Hessian is the constant H0, so the
@@ -70,7 +45,8 @@ class QuadraticObjective(ScalarObjective):
         g0 = np.zeros(dim) if g0 is None else np.asarray(g0, dtype=np.float64).ravel()
         if g0.size != dim:
             raise ValueError("g0 length must match H0")
-        super().__init__(dim, hessian_op=DenseOperator(H0, hermitian=True))
+        self.dim = dim
+        self.hessian_op = DenseOperator(H0, hermitian=True)
         self.H0 = H0
         self.g0 = g0
         self.c0 = float(c0)
@@ -219,20 +195,3 @@ def sam_feature(obj, theta, radius, k):
     if total <= 0.0:
         raise ValueError("all loss deltas vanish; feature undefined")
     return float(cumulative[k - 1] / total)
-
-
-def gradient_check(obj, theta, step=1e-5, rel_tol=1e-5):
-    """Central finite-difference validation of an objective's gradient."""
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    grad = np.asarray(obj.gradient(theta), dtype=np.float64).ravel()
-    approx = np.empty_like(grad)
-    probe = theta.copy()
-    for i in range(theta.size):
-        probe[i] = theta[i] + step
-        up = obj.value(probe)
-        probe[i] = theta[i] - step
-        down = obj.value(probe)
-        probe[i] = theta[i]
-        approx[i] = (up - down) / (2.0 * step)
-    scale = max(1.0, float(np.linalg.norm(grad)))
-    return float(np.linalg.norm(grad - approx)) <= rel_tol * scale

@@ -15,16 +15,20 @@ eigendecomposition of its symmetric part.
 
 Both access the operator only through block application, so they run
 unchanged on implicit operators of any size; all remaining work happens on
-thin (D x n_outer) or small (n_inner x n_inner) matrices.
+thin (D x n_outer) or small (n_inner x n_inner) matrices.  Range bases come
+from a Householder QR of the outer sketch, as in the range finder of Halko,
+Martinsson & Tropp (SIAM Review 2011); the singular values of its small R
+factor give the numerical rank, which ``seigh`` reports as a field.
 """
 
+import ctypes
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation
 from .grassmann import OrthonormalBasis
@@ -42,15 +46,23 @@ __all__ = [
     "residual_probe_norms",
     "save_sketched_eigh",
     "load_sketched_eigh",
+    "blas_threads_for",
 ]
 
 logger = logging.getLogger(__name__)
 
-# columns of an outer sketch whose pivoted-QR diagonal falls below
-# DEGENERATE_COL_RTOL * ||sketch||_F carry no range information; they are kept
-# as deterministic orthonormal completions and their recovered spectral
-# values are reported as exact zeros
+# directions of an outer sketch whose singular value falls below
+# DEGENERATE_COL_RTOL * ||sketch||_F carry no range information; the range
+# basis keeps deterministic orthonormal completions for them and the matching
+# trailing spectral values are reported as exact zeros
 DEGENERATE_COL_RTOL = 1e-14
+
+# at or below this dimension overlap_curve runs its sketch on one BLAS thread:
+# OpenBLAS threads the unblocked Householder QR of the thin sketch column by
+# column, which for D x 80 on a 2-vCPU x86-64 takes 19 ms against 11 ms on one
+# thread at D=2000 (58 against 66 ms at D=8000), and its idle worker keeps
+# spinning on the second core between calls
+ONE_THREAD_MAX_DIM = 4000
 
 
 def default_inner_count(n_outer):
@@ -139,13 +151,20 @@ class SketchedEigh:
     column-orthonormal (square before truncation) and ``eigvals`` is sorted by
     nonincreasing magnitude.  ``core_asymmetry`` records the relative
     Frobenius asymmetry of the core matrix before it was symmetrized, a cheap
-    sanity diagnostic.
+    sanity diagnostic.  ``numerical_rank`` counts the leading eigenvalues
+    backed by range information; the ones past it are exact zeros, and
+    eigenspaces past it are not unique.  It defaults to ``rank``.
     """
 
     Q: np.ndarray
     U: np.ndarray
     eigvals: np.ndarray
     core_asymmetry: float = 0.0
+    numerical_rank: int = None
+
+    def __post_init__(self):
+        if self.numerical_rank is None:
+            self.numerical_rank = self.rank
 
     @property
     def dim(self):
@@ -204,26 +223,54 @@ class SketchedSvd:
         return self.P @ ((self.U * self.singvals) @ self.V.T) @ self.Q.T
 
 
-def _orthonormal_range(M, what):
-    """Orthonormal basis for the column span of a sketch block.
+@cache
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, or None.
 
-    Pivoted QR makes the R diagonal nonincreasing, so trailing entries below
-    DEGENERATE_COL_RTOL * ||M||_F expose columns that carry no range
-    information (zero operator, rank-deficient sketches).  Householder Q is
-    already a deterministic orthonormal completion for those columns; their
-    count is returned so callers can zero out the matching spectral values.
+    It sets the BLAS thread count of the calling thread only and returns the
+    count it replaces; other BLAS builds, and OpenBLAS before 0.3.27, lack it.
     """
-    Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            setter = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def blas_threads_for(dim):
+    """One BLAS thread for the calling thread while dim <= ONE_THREAD_MAX_DIM.
+
+    The thread count is restored on exit; above the cap, or without a
+    per-thread setter, BLAS keeps its default.
+    """
+    setter = _openblas_thread_setter() if dim <= ONE_THREAD_MAX_DIM else None
+    previous = setter(1) if setter is not None else None
+    try:
+        yield
+    finally:
+        if setter is not None:
+            setter(previous)
+
+
+def _orthonormal_range(M):
+    """Orthonormal basis for the column span of a sketch block, and its rank.
+
+    Householder QR gives Q; the singular values of the small square R are
+    those of M, so the directions below DEGENERATE_COL_RTOL * ||M||_F (zero
+    operator, rank-deficient sketches) are counted from them.  Q is already
+    a deterministic orthonormal completion for those directions, so it is
+    not rotated; callers zero the trailing spectral values instead.
+    """
+    Q, R = np.linalg.qr(M)
+    singvals = np.linalg.svd(R, compute_uv=False)
     threshold = DEGENERATE_COL_RTOL * np.linalg.norm(M)
-    n_deficient = int(np.sum(diag <= threshold))
-    if n_deficient:
-        logger.warning(
-            "%s sketch is rank deficient: %d of %d columns below threshold; "
-            "matching spectral values will be reported as exact zeros",
-            what, n_deficient, M.shape[1],
-        )
-    return Q, n_deficient
+    return Q, int(np.count_nonzero(singvals > threshold))
 
 
 def _lstsq_minnorm(A, B, what):
@@ -289,14 +336,11 @@ def ssvd(A, ens, right_ens=None):
     row_sketch = A.apply_adjoint(ups_outer) # D_R x n_o, spans the row space
     M_inner = ups_inner.T @ A.apply(omg_inner)  # n_i x n_i
 
-    P, ndef_p = _orthonormal_range(col_sketch, "column")
-    Q, ndef_q = _orthonormal_range(row_sketch, "row")
+    P, rank_p = _orthonormal_range(col_sketch)
+    Q, rank_q = _orthonormal_range(row_sketch)
 
     U, singvals, Vt = np.linalg.svd(_core(ups_inner, P, M_inner, omg_inner, Q))
-    n_deficient = max(ndef_p, ndef_q)
-    if n_deficient:
-        singvals = singvals.copy()
-        singvals[len(singvals) - n_deficient:] = 0.0
+    singvals[min(rank_p, rank_q):] = 0.0
     return SketchedSvd(P=P, U=U, singvals=singvals, V=Vt.T, Q=Q)
 
 
@@ -311,7 +355,8 @@ def seigh(A, ens):
     least-squares solves (Tropp et al. 2019, see the module docstring), is
     symmetrized and eigendecomposed.  Eigenvalues come back ordered by
     nonincreasing magnitude, lower index first on ties, with the columns of U
-    permuted to match.
+    permuted to match.  Those past the numerical rank of the outer sketch
+    are exact zeros; the rank is returned as ``numerical_rank``.
     """
     if not A.hermitian:
         raise ContractViolation("seigh requires an operator flagged hermitian")
@@ -322,7 +367,7 @@ def seigh(A, ens):
     if ens.n_inner > ens.n_outer:
         M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
 
-    Q, n_deficient = _orthonormal_range(outer_sketch, "outer")
+    Q, numerical_rank = _orthonormal_range(outer_sketch)
     core = _core(ens.upsilon, Q, M_inner, ens.omega_full, Q)  # n_o x n_o
 
     core_norm = np.linalg.norm(core)
@@ -334,10 +379,9 @@ def seigh(A, ens):
     eigvals, U = np.linalg.eigh(core)
     order = magnitude_ranking(eigvals)
     eigvals, U = eigvals[order], U[:, order]
-    if n_deficient:
-        eigvals = eigvals.copy()
-        eigvals[len(eigvals) - n_deficient:] = 0.0
-    return SketchedEigh(Q=Q, U=U, eigvals=eigvals, core_asymmetry=asymmetry)
+    eigvals[numerical_rank:] = 0.0
+    return SketchedEigh(Q=Q, U=U, eigvals=eigvals, core_asymmetry=asymmetry,
+                        numerical_rank=numerical_rank)
 
 
 def truncate(dec, k):
@@ -346,7 +390,8 @@ def truncate(dec, k):
     if not 1 <= k <= dec.rank:
         raise ValueError(f"need 1 <= k <= {dec.rank}, got k={k}")
     if isinstance(dec, SketchedEigh):
-        return replace(dec, U=dec.U[:, :k], eigvals=dec.eigvals[:k])
+        return replace(dec, U=dec.U[:, :k], eigvals=dec.eigvals[:k],
+                       numerical_rank=min(dec.numerical_rank, k))
     if isinstance(dec, SketchedSvd):
         return replace(dec, U=dec.U[:, :k], singvals=dec.singvals[:k], V=dec.V[:, :k])
     raise TypeError(f"cannot truncate {type(dec).__name__}")
@@ -380,6 +425,7 @@ def save_sketched_eigh(dec, path, metadata=None):
     meta = dict(metadata or {})
     meta["eigvals"] = [float(v) for v in dec.eigvals]
     meta["core_asymmetry"] = dec.core_asymmetry
+    meta["numerical_rank"] = dec.numerical_rank
     for name, block in (("q", dec.Q), ("u", dec.U)):
         store = storage.create_layout(
             path / f"{name}.store", block.shape[0], block.shape[1],
@@ -402,4 +448,5 @@ def load_sketched_eigh(path):
         Q=Q, U=U,
         eigvals=np.asarray(meta["eigvals"], dtype=np.float64),
         core_asymmetry=float(meta.get("core_asymmetry", 0.0)),
+        numerical_rank=meta.get("numerical_rank"),
     )

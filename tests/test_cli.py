@@ -35,6 +35,14 @@ def test_decompose_deterministic(tmp_path):
         (tmp_path / "b/eigvals.csv").read_bytes()
 
 
+def test_decompose_records_numerical_rank(tmp_path):
+    out = tmp_path / "dec"
+    assert run(["decompose", "--output-dir", out, "--planted-dim", 200,
+                "--planted-rank", 10, "--n-outer", 15, "--seed", 9]) == 0
+    header = (out / "eigvals.csv").read_text().splitlines()[0]
+    assert header == "# seed=9 n_outer=15 n_inner=31 numerical_rank=10"
+
+
 def test_decompose_rejects_bad_measurement_counts(tmp_path):
     out = tmp_path / "bad"
     code = run(["decompose", "--output-dir", out, "--planted-dim", 100,

@@ -266,6 +266,17 @@ def test_overlap_curve_refuses_k_past_planted_rank(eigvals, k_max, rank):
         overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=k_max, seed=2)
 
 
+def test_overlap_curve_refuses_k_past_numerical_rank():
+    # a dense copy of a rank-5 planted matrix skips the planted pre-check
+    planted = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
+    op = DenseOperator(planted.materialize(), hermitian=True)
+    theta = ranked_theta(100, np.arange(5), seed=1)
+    with pytest.raises(ValueError, match="k_max=8 exceeds the numerical rank 5 of the sketch;"):
+        overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=8, seed=2)
+    curve = overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=5, seed=2)
+    assert [p.k for p in curve.points] == [1, 2, 3, 4, 5]
+
+
 def test_curve_csv_records_exact_source(tmp_path):
     points = [CurvePoint(k=1, exact=0.5, sketched=0.25, baseline=0.125)]
     default = OverlapCurve(points=points, operator="probe", n_outer=4, n_inner=9,

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis
 from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
 from grassket.operators import (CountingOperator, DenseOperator,
                                 DiagonalOperator, PlantedOperator,
-                                diagonal_entry, eigh_by_magnitude, identity,
-                                make_planted_operator)
+                                eigh_by_magnitude, make_planted_operator)
 
 
 def exact_topk_overlap(op, mask, k):
@@ -18,7 +16,7 @@ def exact_topk_overlap(op, mask, k):
 
 
 def test_identity_maps_basis_vector():
-    op = identity(4)
+    op = DiagonalOperator(np.ones(4))
     e2 = np.zeros((4, 1))
     e2[2, 0] = 1.0
     assert np.array_equal(op.apply(e2), e2)
@@ -39,7 +37,7 @@ def test_planted_apply_matches_dense_oracle():
 
 
 def test_apply_block_validation():
-    op = identity(4)
+    op = DiagonalOperator(np.ones(4))
     with pytest.raises(ValueError):
         op.apply(np.ones((5, 2)))
     with pytest.raises(ValueError):
@@ -158,26 +156,8 @@ def test_planted_rejects_non_finite_eigenvalues(bad):
         make_planted_operator(50, [bad, 1.0], None, 0.0, 0)
 
 
-def test_diagonal_entry():
-    assert diagonal_entry(DiagonalOperator([4.0, 3.0, 2.0, 1.0]), 1) == 3.0
-    for i in range(5):
-        assert diagonal_entry(identity(5), i) == 1.0
-    mask = SparseMask(30, np.arange(6))
-    op = make_planted_operator(30, [6, 5, 4, 3, 2, 1], mask, 0.4, seed=5)
-    dense = op.materialize()
-    assert diagonal_entry(op, 7) == pytest.approx(dense[7, 7], abs=1e-12)
-    with pytest.raises(ValueError):
-        diagonal_entry(op, 30)
-
-
-def test_diagonal_entry_requires_hermitian():
-    op = DenseOperator(np.arange(6.0).reshape(2, 3))
-    with pytest.raises(ContractViolation):
-        diagonal_entry(op, 0)
-
-
 def test_counting_operator():
-    op = CountingOperator(identity(6))
+    op = CountingOperator(DiagonalOperator(np.ones(6)))
     op.apply(np.ones((6, 4)))
     op.apply(np.ones((6, 2)))
     op.apply_adjoint(np.ones((6, 3)))

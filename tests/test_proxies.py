@@ -3,7 +3,7 @@ import pytest
 
 from grassket.masks import SparseMask, sample_mask
 from grassket.operators import DenseOperator, DiagonalOperator
-from grassket.proxies import (QuadraticObjective, gradient_check,
+from grassket.proxies import (QuadraticObjective,
                               masked_perturbation_expectation, psd_subtrace,
                               sam_deltas, sam_feature, squared_hessian_diag,
                               subtrace_curve)
@@ -167,7 +167,15 @@ def test_gradient_check_on_shipped_objectives(seed):
     half = rng.standard_normal((7, 7))
     obj = QuadraticObjective(0.5 * (half + half.T), g0=rng.standard_normal(7),
                              c0=float(rng.standard_normal()))
-    assert gradient_check(obj, rng.standard_normal(7))
+    theta = rng.standard_normal(7)
+    grad = obj.gradient(theta)
+    step = 1e-5
+    approx = np.empty(7)
+    for i in range(7):
+        e = np.zeros(7)
+        e[i] = step
+        approx[i] = (obj.value(theta + e) - obj.value(theta - e)) / (2.0 * step)
+    assert np.linalg.norm(grad - approx) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
 def test_hessian_op_matches_gradient_differences():

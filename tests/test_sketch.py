@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator,
                                 DiagonalOperator, eigh_by_magnitude,
                                 make_planted_operator)
-from grassket.sketch import (SketchedEigh, draw_measurements, load_sketched_eigh,
+from grassket.sketch import (ONE_THREAD_MAX_DIM, SketchedEigh, _openblas_thread_setter,
+                             blas_threads_for, draw_measurements, load_sketched_eigh,
                              residual_estimate, residual_probe_norms,
                              save_sketched_eigh, seigh, ssvd, truncate)
 
@@ -212,6 +215,55 @@ def test_measurement_budget():
     assert counter.applied_columns + counter.adjoint_columns == n_inner + 2 * n_outer
 
 
+def test_seigh_reports_numerical_rank_without_warning(caplog):
+    op = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
+    with caplog.at_level(logging.WARNING):
+        dec = seigh(op, draw_measurements(100, 21, 10, seed=2))
+    assert dec.numerical_rank == 5
+    assert np.array_equal(dec.eigvals[5:], np.zeros(5))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_seigh_numerical_rank_full_and_zero():
+    full = seigh(DiagonalOperator(np.arange(20, 0, -1.0)), draw_measurements(20, 11, 5, seed=6))
+    assert full.numerical_rank == 5
+    zero = seigh(DenseOperator(np.zeros((12, 12)), hermitian=True),
+                 draw_measurements(12, 6, 3, seed=4))
+    assert zero.numerical_rank == 0
+    assert np.array_equal(zero.eigvals, np.zeros(3))
+
+
+def test_small_sketches_run_on_one_blas_thread():
+    setter = _openblas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy links no OpenBLAS with a per-thread setting")
+
+    def threads():
+        count = setter(1)
+        setter(count)
+        return count
+
+    before = threads()
+    with blas_threads_for(ONE_THREAD_MAX_DIM):
+        assert threads() == 1
+    assert threads() == before
+    with blas_threads_for(ONE_THREAD_MAX_DIM + 1):
+        assert threads() == before
+    with pytest.raises(RuntimeError), blas_threads_for(10):
+        raise RuntimeError
+    assert threads() == before
+
+
+def test_seigh_on_one_blas_thread_matches_default():
+    op = make_planted_operator(300, np.arange(20, 0, -1.0), None, 0.0, seed=1)
+    ens = draw_measurements(300, 41, 20, seed=3)
+    with blas_threads_for(300):
+        single = seigh(op, ens)
+    default = seigh(op, ens)
+    assert single.numerical_rank == default.numerical_rank == 20
+    assert np.allclose(single.eigvals, default.eigvals, rtol=0, atol=1e-12 * 20)
+
+
 # ---------------------------------------------------------------------------
 # truncation
 
@@ -241,6 +293,13 @@ def test_truncate_to_single_eigenpair():
     assert dec.eigvals == pytest.approx([10.0], rel=1e-8)
     vec = dec.eigenbasis().columns[:, 0]
     assert abs(vec[0]) >= 1 - 1e-8
+
+
+def test_truncate_caps_numerical_rank():
+    op = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
+    dec = seigh(op, draw_measurements(100, 21, 10, seed=2))
+    assert truncate(dec, 8).numerical_rank == 5
+    assert truncate(dec, 3).numerical_rank == 3
 
 
 def test_truncate_range_check():
@@ -320,3 +379,11 @@ def test_save_load_round_trip(tmp_path):
     meta = open_store(tmp_path / "dec/q.store").metadata
     assert (meta["n_inner"], meta["n_outer"], meta["seed"]) == (9, 4, 0)
     assert meta["eigvals"] == [float(v) for v in dec.eigvals]
+
+
+def test_save_load_keeps_numerical_rank(tmp_path):
+    op = make_planted_operator(40, [4.0, 3.0, 2.0], None, 0.0, seed=1)
+    dec = seigh(op, draw_measurements(40, 13, 6, seed=2))
+    assert dec.numerical_rank == 3
+    save_sketched_eigh(dec, tmp_path / "dec")
+    assert load_sketched_eigh(tmp_path / "dec").numerical_rank == 3
