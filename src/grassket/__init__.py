@@ -17,8 +17,7 @@ from .operators import (CountingOperator, DenseOperator, DiagonalOperator,
                         make_planted_operator)
 from .proxies import (QuadraticObjective, masked_perturbation_expectation,
                       psd_subtrace, sam_feature, squared_hessian_diag)
-from .sketch import (MeasurementEnsemble, SketchedEigh, SketchedSvd,
-                     draw_measurements, residual_estimate, seigh, ssvd,
-                     truncate)
+from .sketch import (MeasurementEnsemble, SketchedEigh, draw_measurements,
+                     seigh, truncate)
 
 __version__ = "0.1.0"

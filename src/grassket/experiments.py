@@ -233,8 +233,7 @@ class OverlapCurve:
                                  repr(p.sketched / p.baseline)])
 
 
-def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
-                  dense_max_dim=DENSE_ORACLE_MAX_DIM):
+def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     """Exact and sketched mask/eigenspace overlap for k = 1 .. k_max.
 
     Per k the mask is the top-k magnitude mask of ``theta``; the exact value
@@ -243,7 +242,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     ``PlantedOperator`` gives its exact eigenvectors straight from its planted
     basis, already ordered by nonincreasing |eigenvalue|; any other operator
     gets a dense eigendecomposition.  The exact column is skipped with a
-    warning above ``dense_max_dim``, whatever the operator.  A ``k_max``
+    warning above ``DENSE_ORACLE_MAX_DIM``, whatever the operator.  A ``k_max``
     past the sketch's numerical rank is refused: the top-k eigenspace is an
     arbitrary pick from the null space there.  On a planted operator the
     planted rank (its count of nonzero eigenvalues) is checked first, before
@@ -284,7 +283,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
         )
     sketched = _nested_overlaps(eigenbasis.columns[top])
 
-    if dim <= dense_max_dim:
+    if dim <= DENSE_ORACLE_MAX_DIM:
         if planted:
             vectors, source = op.basis, "planted"
         else:
@@ -294,7 +293,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed,
     else:
         logger.warning(
             "dimension %d exceeds the dense-oracle cap %d; "
-            "exact overlap column will be empty", dim, dense_max_dim,
+            "exact overlap column will be empty", dim, DENSE_ORACLE_MAX_DIM,
         )
         exact, source = [float("nan")] * k_max, "skipped"
 

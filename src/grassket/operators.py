@@ -1,15 +1,15 @@
 """Matrix-free linear operators and synthetic planted-spectrum operators.
 
-Everything downstream (sketched decompositions, residual probes, diagonal
-readouts) talks to operators exclusively through block application: a block is
-a 2-d float array whose columns are the vectors to map.  Single vectors are
-1-column blocks.
+Everything downstream (the sketched eigendecomposition, residual probes,
+diagonal readouts) talks to operators exclusively through block application:
+a block is a 2-d float array whose columns are the vectors to map.  Single
+vectors are 1-column blocks.
 """
 
 import numpy as np
 
 from .errors import ContractViolation
-from .grassmann import positive_qr, stiefel_from_rng
+from .grassmann import OrthonormalBasis, positive_qr, stiefel_from_rng
 from .masks import SparseMask, magnitude_ranking
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-def _check_block(X, dim, side):
+def _check_block(X, dim):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(
@@ -31,7 +31,7 @@ def _check_block(X, dim, side):
             "(wrap single vectors as 1-column blocks)"
         )
     if X.shape[0] != dim:
-        raise ValueError(f"block has {X.shape[0]} rows, operator {side} is {dim}")
+        raise ValueError(f"block has {X.shape[0]} rows, operator input dimension is {dim}")
     if X.shape[1] < 1:
         raise ValueError("block must contain at least one column")
     if not np.all(np.isfinite(X)):
@@ -42,9 +42,11 @@ def _check_block(X, dim, side):
 class LinearOperator:
     """A dimension-tagged map applying an implicit matrix to column blocks.
 
-    Subclasses implement ``_apply`` (and ``_apply_adjoint`` when not
-    hermitian).  Operators are immutable after construction and must be safe
-    to apply concurrently on disjoint blocks.
+    Subclasses implement ``_apply``.  ``hermitian`` flags a symmetric
+    operator, the only kind ``sketch.seigh`` accepts; ``rows``/``cols`` let
+    a general matrix, such as a non-symmetric dense store, still be wrapped
+    and refused there.  Operators are immutable after construction and must
+    be safe to apply concurrently on disjoint blocks.
     """
 
     def __init__(self, rows, cols, hermitian=False):
@@ -64,22 +66,10 @@ class LinearOperator:
     def _apply(self, X):
         raise NotImplementedError
 
-    def _apply_adjoint(self, X):
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement an adjoint"
-        )
-
     def apply(self, X):
         """Apply the operator to a cols-by-n block, returning rows-by-n."""
-        X = _check_block(X, self.cols, "input dimension")
+        X = _check_block(X, self.cols)
         return self._apply(X)
-
-    def apply_adjoint(self, X):
-        """Apply the adjoint (transpose) to a rows-by-n block."""
-        X = _check_block(X, self.rows, "output dimension")
-        if self.hermitian:
-            return self._apply(X)
-        return self._apply_adjoint(X)
 
 
 class DenseOperator(LinearOperator):
@@ -100,9 +90,6 @@ class DenseOperator(LinearOperator):
 
     def _apply(self, X):
         return self.matrix @ X
-
-    def _apply_adjoint(self, X):
-        return self.matrix.T @ X
 
     @classmethod
     def from_store(cls, path, hermitian=None):
@@ -127,36 +114,20 @@ class DiagonalOperator(LinearOperator):
 class CountingOperator(LinearOperator):
     """Wrapper counting how many columns pass through an operator.
 
-    Used to audit measurement budgets: ``applied_columns`` counts forward
-    applications, ``adjoint_columns`` the adjoint ones, ``calls`` the number
-    of block applications of either kind.
+    The test seam for ``seigh``'s measurement budget: ``applied_columns``
+    counts the columns applied, ``calls`` the number of block applications.
     """
 
     def __init__(self, op):
         super().__init__(op.rows, op.cols, hermitian=op.hermitian)
         self.op = op
         self.applied_columns = 0
-        self.adjoint_columns = 0
         self.calls = 0
 
     def _apply(self, X):
         self.applied_columns += X.shape[1]
         self.calls += 1
         return self.op.apply(X)
-
-    def _apply_adjoint(self, X):
-        self.adjoint_columns += X.shape[1]
-        self.calls += 1
-        return self.op.apply_adjoint(X)
-
-    def apply_adjoint(self, X):
-        # route hermitian adjoints through the adjoint counter, not _apply
-        X = _check_block(X, self.rows, "output dimension")
-        if self.hermitian:
-            self.adjoint_columns += X.shape[1]
-            self.calls += 1
-            return self.op.apply(X)
-        return self._apply_adjoint(X)
 
 
 class PlantedOperator(LinearOperator):
@@ -178,9 +149,7 @@ class PlantedOperator(LinearOperator):
         mags = np.abs(eigvals)
         if np.any(mags[:-1] < mags[1:]):
             raise ValueError("eigenvalue magnitudes must be nonincreasing")
-        gram_err = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
-        if gram_err > 1e-10:
-            raise ContractViolation(f"planted basis not orthonormal (err={gram_err:.2e})")
+        OrthonormalBasis(basis)  # ContractViolation unless orthonormal and finite
         super().__init__(basis.shape[0], basis.shape[0], hermitian=True)
         self.dim = basis.shape[0]
         self.basis = basis

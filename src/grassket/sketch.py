@@ -1,31 +1,30 @@
-"""Single-pass sketched decompositions of matrix-free linear operators.
+"""Single-pass sketched eigendecomposition of matrix-free symmetric operators.
 
-Two decompositions are provided, both following the core-sketch design of
-Tropp, Yurtsever, Udell & Cevher (*Streaming low-rank matrix approximation
-with an application to scientific simulation*, SIAM J. Sci. Comput. 2019).
-``ssvd`` factors a general operator as P U Sigma V^T Q^T from independent
-outer measurements (which span the column and row spaces) plus an
-oversampled inner measurement block M = upsilon^T A omega.  ``seigh`` is the
-symmetric variant: conjugate symmetry lets the row basis equal the column
-basis and the outer measurements are recycled into the inner block, giving
-Q U Lambda U^T Q^T from n_inner operator applications total.  In both, the
-small core (upsilon^T P)^+ M ((omega^T Q)^+)^T comes from two minimum-norm
-least-squares solves; ``ssvd`` then takes its SVD, ``seigh`` the
-eigendecomposition of its symmetric part.
+``seigh`` is the symmetric specialisation of the core-sketch SVD of Tropp,
+Yurtsever, Udell & Cevher (*Streaming low-rank matrix approximation with an
+application to scientific simulation*, SIAM J. Sci. Comput. 2019).  That SVD
+factors a general operator from independent outer measurements of its column
+and row spaces plus an oversampled inner block M = upsilon^T A omega.  For a
+symmetric operator the row basis equals the column basis, so one outer
+sketch serves both sides and is recycled into the inner block: the result is
+Q U Lambda U^T Q^T from n_inner operator applications in total.  The small
+core (upsilon^T Q)^+ M ((omega^T Q)^+)^T comes from two minimum-norm
+least-squares solves, and the eigendecomposition of its symmetric part gives
+U and Lambda.
 
-Both access the operator only through block application, so they run
+``seigh`` accesses the operator only through block application, so it runs
 unchanged on implicit operators of any size; all remaining work happens on
-thin (D x n_outer) or small (n_inner x n_inner) matrices.  Range bases come
-from a Householder QR of the outer sketch, as in the range finder of Halko,
-Martinsson & Tropp (SIAM Review 2011); the singular values of its small R
-factor give the numerical rank, which ``seigh`` reports as a field.
+thin (D x n_outer) or small (n_inner x n_inner) matrices.  The range basis
+comes from a Householder QR of the outer sketch, as in the range finder of
+Halko, Martinsson & Tropp (SIAM Review 2011); the singular values of its
+small R factor give the numerical rank, which ``seigh`` reports as a field.
 """
 
 import ctypes
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +36,9 @@ from .masks import magnitude_ranking
 __all__ = [
     "MeasurementEnsemble",
     "SketchedEigh",
-    "SketchedSvd",
     "draw_measurements",
-    "ssvd",
     "seigh",
     "truncate",
-    "residual_estimate",
     "residual_probe_norms",
     "save_sketched_eigh",
     "load_sketched_eigh",
@@ -72,15 +68,15 @@ def default_inner_count(n_outer):
 
 @dataclass
 class MeasurementEnsemble:
-    """Reproducible Gaussian measurement matrices for one operator side.
+    """Reproducible Gaussian measurement matrices for one symmetric operator.
 
-    Two core matrices are materialized eagerly: ``upsilon`` (dim x n_inner)
-    and ``omega_full`` (dim x n_inner).  The leading n_inner - n_outer columns
-    of ``omega_full`` (``omega_inner``) and its trailing n_outer columns
-    (``omega_outer``) are views; all three blocks come from mutually
-    independent streams of one seed.  Two further independent matrices are
-    generated lazily for ``ssvd``, which needs uncorrelated outer/inner
-    measurements on both sides instead of the recycling ``seigh`` performs.
+    Two matrices are materialized: ``upsilon`` (dim x n_inner) and
+    ``omega_full`` (dim x n_inner).  The leading n_inner - n_outer columns of
+    ``omega_full`` (``omega_inner``) and its trailing n_outer columns
+    (``omega_outer``) are views; the three blocks come from mutually
+    independent streams of one seed.  ``seigh`` orthonormalizes
+    A @ omega_outer into its range basis and recycles that sketch into the
+    inner block, so the operator is applied to n_inner columns in total.
     """
 
     seed: int
@@ -100,7 +96,8 @@ class MeasurementEnsemble:
             raise ValueError(
                 f"n_inner={self.n_inner} exceeds operator dimension {self.dim}"
             )
-        streams = self._streams
+        streams = [np.random.default_rng(c)
+                   for c in np.random.SeedSequence(self.seed).spawn(3)]
         split = self.n_inner - self.n_outer
         self.upsilon = streams[0].standard_normal((self.dim, self.n_inner))
         self.omega_full = np.empty((self.dim, self.n_inner))
@@ -116,21 +113,6 @@ class MeasurementEnsemble:
     def omega_outer(self):
         """The trailing dim x n_outer columns of ``omega_full``."""
         return self.omega_full[:, self.n_inner - self.n_outer:]
-
-    @cached_property
-    def _streams(self):
-        children = np.random.SeedSequence(self.seed).spawn(5)
-        return [np.random.default_rng(c) for c in children]
-
-    @cached_property
-    def upsilon_outer(self):
-        """Extra dim x n_outer left outer matrix, independent of the core three."""
-        return self._streams[3].standard_normal((self.dim, self.n_outer))
-
-    @cached_property
-    def omega_inner_full(self):
-        """Extra dim x n_inner right inner matrix, independent of the core three."""
-        return self._streams[4].standard_normal((self.dim, self.n_inner))
 
 
 def draw_measurements(dim, n_inner, n_outer, seed):
@@ -192,35 +174,6 @@ class SketchedEigh:
     def dense(self):
         scaled = self.U * self.eigvals
         return self.Q @ (scaled @ self.U.T) @ self.Q.T
-
-
-@dataclass
-class SketchedSvd:
-    """Approximate SVD P U diag(singvals) V^T Q^T of a general operator."""
-
-    P: np.ndarray
-    U: np.ndarray
-    singvals: np.ndarray
-    V: np.ndarray
-    Q: np.ndarray
-
-    @property
-    def rank(self):
-        return len(self.singvals)
-
-    def left_basis(self, k=None):
-        k = self.rank if k is None else int(k)
-        return OrthonormalBasis(self.P @ self.U[:, :k], check=False)
-
-    def right_basis(self, k=None):
-        k = self.rank if k is None else int(k)
-        return OrthonormalBasis(self.Q @ self.V[:, :k], check=False)
-
-    def reconstruct(self, X):
-        return self.P @ (self.U @ (self.singvals[:, None] * (self.V.T @ (self.Q.T @ X))))
-
-    def dense(self):
-        return self.P @ ((self.U * self.singvals) @ self.V.T) @ self.Q.T
 
 
 @cache
@@ -288,60 +241,15 @@ def _lstsq_minnorm(A, B, what):
     return solution
 
 
-def _core(upsilon, P, M, omega, Q):
-    """Core C = (upsilon^T P)^+ M ((omega^T Q)^+)^T of an inner block M.
+def _core(upsilon, Q, M, omega):
+    """Core C = (upsilon^T Q)^+ M ((omega^T Q)^+)^T of an inner block M.
 
-    When A = P C Q^T, the inner block M = upsilon^T A omega equals
-    (upsilon^T P) C (omega^T Q)^T, so C follows from two minimum-norm
+    When A = Q C Q^T, the inner block M = upsilon^T A omega equals
+    (upsilon^T Q) C (omega^T Q)^T, so C follows from two minimum-norm
     least-squares solves, one per side.
     """
-    half = _lstsq_minnorm(upsilon.T @ P, M, "left core")            # n_o x n_i
+    half = _lstsq_minnorm(upsilon.T @ Q, M, "left core")            # n_o x n_i
     return _lstsq_minnorm(omega.T @ Q, half.T, "right core").T      # n_o x n_o
-
-
-def _check_ensemble(ens, dim, side):
-    if ens.dim != dim:
-        raise ValueError(
-            f"ensemble dimension {ens.dim} does not match operator {side} {dim}"
-        )
-
-
-def ssvd(A, ens, right_ens=None):
-    """Sketched singular value decomposition of a general linear operator.
-
-    Outer measurements sketch the column space (A @ omega, orthonormalized to
-    P) and the row space (A^T @ upsilon, orthonormalized to Q).  The
-    oversampled inner block M_I = upsilon_inner^T A omega_inner then pins down
-    the core C = (upsilon_inner^T P)^+ M_I ((omega_inner^T Q)^+)^T, whose
-    dense SVD lifts to the full factorization P U Sigma V^T Q^T.
-
-    For square operators a single ensemble serves both sides (its five
-    sub-streams keep all four measurement matrices independent); rectangular
-    operators need ``right_ens`` sized to the column dimension.  Costs
-    n_inner + 2 n_outer applied columns.
-    """
-    left = ens
-    right = ens if right_ens is None else right_ens
-    _check_ensemble(left, A.rows, "row count")
-    _check_ensemble(right, A.cols, "column count")
-    if (left.n_inner, left.n_outer) != (right.n_inner, right.n_outer):
-        raise ValueError("left and right ensembles must agree on n_inner/n_outer")
-
-    ups_inner = left.upsilon                # D_L x n_i
-    ups_outer = left.upsilon_outer          # D_L x n_o
-    omg_inner = right.omega_inner_full      # D_R x n_i
-    omg_outer = right.omega_outer           # D_R x n_o
-
-    col_sketch = A.apply(omg_outer)         # D_L x n_o, spans the column space
-    row_sketch = A.apply_adjoint(ups_outer) # D_R x n_o, spans the row space
-    M_inner = ups_inner.T @ A.apply(omg_inner)  # n_i x n_i
-
-    P, rank_p = _orthonormal_range(col_sketch)
-    Q, rank_q = _orthonormal_range(row_sketch)
-
-    U, singvals, Vt = np.linalg.svd(_core(ups_inner, P, M_inner, omg_inner, Q))
-    singvals[min(rank_p, rank_q):] = 0.0
-    return SketchedSvd(P=P, U=U, singvals=singvals, V=Vt.T, Q=Q)
 
 
 def seigh(A, ens):
@@ -360,7 +268,10 @@ def seigh(A, ens):
     """
     if not A.hermitian:
         raise ContractViolation("seigh requires an operator flagged hermitian")
-    _check_ensemble(ens, A.rows, "dimension")
+    if ens.dim != A.rows:
+        raise ValueError(
+            f"ensemble dimension {ens.dim} does not match operator dimension {A.rows}"
+        )
 
     outer_sketch = A.apply(ens.omega_outer)                   # D x n_o
     M_inner = ens.upsilon.T @ outer_sketch                    # outer columns of M_I
@@ -368,7 +279,7 @@ def seigh(A, ens):
         M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
 
     Q, numerical_rank = _orthonormal_range(outer_sketch)
-    core = _core(ens.upsilon, Q, M_inner, ens.omega_full, Q)  # n_o x n_o
+    core = _core(ens.upsilon, Q, M_inner, ens.omega_full)     # n_o x n_o
 
     core_norm = np.linalg.norm(core)
     asymmetry = 0.0 if core_norm == 0 else float(
@@ -385,16 +296,12 @@ def seigh(A, ens):
 
 
 def truncate(dec, k):
-    """Keep the k leading spectral columns of a sketched decomposition."""
+    """Keep the k leading eigenpairs of a sketched eigendecomposition."""
     k = int(k)
     if not 1 <= k <= dec.rank:
         raise ValueError(f"need 1 <= k <= {dec.rank}, got k={k}")
-    if isinstance(dec, SketchedEigh):
-        return replace(dec, U=dec.U[:, :k], eigvals=dec.eigvals[:k],
-                       numerical_rank=min(dec.numerical_rank, k))
-    if isinstance(dec, SketchedSvd):
-        return replace(dec, U=dec.U[:, :k], singvals=dec.singvals[:k], V=dec.V[:, :k])
-    raise TypeError(f"cannot truncate {type(dec).__name__}")
+    return replace(dec, U=dec.U[:, :k], eigvals=dec.eigvals[:k],
+                   numerical_rank=min(dec.numerical_rank, k))
 
 
 def residual_probe_norms(A, dec, n_probe, seed):
@@ -409,11 +316,6 @@ def residual_probe_norms(A, dec, n_probe, seed):
     probes = rng.standard_normal((A.cols, int(n_probe)))
     residual = A.apply(probes) - dec.reconstruct(probes)
     return np.sum(residual * residual, axis=0)
-
-
-def residual_estimate(A, dec, n_probe, seed):
-    """Probe-based estimate of the Frobenius reconstruction error."""
-    return float(np.sqrt(np.mean(residual_probe_norms(A, dec, n_probe, seed))))
 
 
 def save_sketched_eigh(dec, path, metadata=None):

@@ -165,14 +165,28 @@ def _int_field(mapping, key):
     return value
 
 
+def _chunk_file_field(chunk):
+    """The chunk's file name, which must name a file inside the store directory."""
+    name = chunk["file"]
+    if (not isinstance(name, str) or Path(name).name != name
+            or name in ("", ".", "..", MANIFEST_NAME)):
+        raise ValueError(f"chunk file {name!r} is not a bare file name")
+    return name
+
+
 def open_store(path):
-    """Open an existing chunked store; a malformed manifest raises IntegrityError."""
+    """Open an existing chunked store; a malformed manifest raises IntegrityError.
+
+    Chunk files must be distinct bare names, so a manifest can neither steer
+    reads and writes outside the store directory nor alias two chunks.
+    """
     path = Path(path)
     try:
         manifest = json.loads((path / MANIFEST_NAME).read_bytes())
         version = _int_field(manifest, "format_version")
         chunks = [
-            ChunkSpec(c["file"], _int_field(c, "col_start"), _int_field(c, "col_stop"))
+            ChunkSpec(_chunk_file_field(c), _int_field(c, "col_start"),
+                      _int_field(c, "col_stop"))
             for c in manifest["chunks"]
         ]
         store = ChunkedMatrixStore(
@@ -190,6 +204,9 @@ def open_store(path):
             f"manifest format_version {version} is newer "
             f"than supported ({FORMAT_VERSION})"
         )
+    files = [c.file for c in store.chunks]
+    if len(set(files)) != len(files):
+        raise IntegrityError(f"chunk files are not distinct: {files}")
     widths = [(c.col_start, c.col_stop) for c in store.chunks]
     cursor = 0
     for start, stop in widths:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grassket.cli import main
-from grassket.storage import open_merged, open_store, read_matrix
+from grassket.storage import open_merged, open_store, read_matrix, verify_store
 
 
 def run(args):
@@ -217,6 +217,30 @@ def test_malformed_manifest_is_integrity_error(tmp_path, corrupt, command):
         args = ["decompose", "--output-dir", tmp_path / "out",
                 "--dense-store", store.path, "--n-outer", 3]
     assert run(args) == 3
+
+
+def test_store_manifest_cannot_reach_outside_files(tmp_path, capsys):
+    store_path = tmp_path / "data.store"
+    run(["store", "create", "--path", store_path, "--rows", 8, "--cols", 6,
+         "--chunk-cols", 3, "--fill-seed", 2])
+    # an outside file of the right size and content, named through the manifest
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes((store_path / "chunk-00000.bin").read_bytes())
+    before = outside.read_bytes()
+    manifest_path = store_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["chunks"][0]["file"] = "../outside.bin"
+    manifest_path.write_text(json.dumps(manifest))
+
+    merged = tmp_path / "data.mx"
+    assert run(["store", "merge", "--path", store_path, "--out", merged]) == 3
+    assert not merged.exists()
+    issues = verify_store(store_path)
+    assert len(issues) == 1 and issues[0].startswith("unreadable")
+    capsys.readouterr()
+    assert run(["store", "verify", "--path", store_path]) == 1
+    assert "[FAIL] unreadable" in capsys.readouterr().out
+    assert outside.read_bytes() == before
 
 
 def test_decompose_config_records_resolved_n_inner(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassket import experiments
 from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
                                   OverlapCurve, overlap_curve,
                                   overlap_ratio_report, ranked_theta, rho_to_k,
@@ -155,27 +156,27 @@ def test_overlap_curve_sketched_tracks_exact():
     assert gap <= 0.02
 
 
-def test_overlap_curve_dense_cap_skips_exact(caplog):
+def test_overlap_curve_dense_cap_skips_exact(caplog, monkeypatch):
     dim, rank = 60, 4
     op = make_planted_operator(dim, np.arange(rank, 0, -1.0), None, 0.0, seed=6)
     theta = ranked_theta(dim, np.arange(rank), seed=7)
-    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8,
-                          dense_max_dim=10)
+    monkeypatch.setattr(experiments, "DENSE_ORACLE_MAX_DIM", 10)
+    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8)
     assert all(np.isnan(p.exact) for p in curve.points)
     assert all(np.isfinite(p.sketched) for p in curve.points)
     assert any("dense-oracle cap" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("dense_max_dim", [DENSE_ORACLE_MAX_DIM, 89],
+@pytest.mark.parametrize("cap", [DENSE_ORACLE_MAX_DIM, 89],
                          ids=["exact", "above-cap"])
-def test_overlap_curve_matches_per_k_definition(dense_max_dim):
+def test_overlap_curve_matches_per_k_definition(cap, monkeypatch):
     dim, rank, n_outer, n_inner = 90, 10, 12, 25
     mask = SparseMask(dim, np.arange(0, 2 * rank, 2))
     op = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 0.5, seed=14)
     theta = np.random.default_rng(15).standard_normal(dim)
     theta[7] = -theta[3]  # a magnitude tie, settled by the one ranking rule
-    curve = overlap_curve(op, theta, n_outer, n_inner, k_max=rank, seed=16,
-                          dense_max_dim=dense_max_dim)
+    monkeypatch.setattr(experiments, "DENSE_ORACLE_MAX_DIM", cap)
+    curve = overlap_curve(op, theta, n_outer, n_inner, k_max=rank, seed=16)
     dec = seigh(op, draw_measurements(dim, n_inner, n_outer, seed=16))
     _, vectors = eigh_by_magnitude(op.materialize())
     assert [p.k for p in curve.points] == list(range(1, rank + 1))
@@ -183,7 +184,7 @@ def test_overlap_curve_matches_per_k_definition(dense_max_dim):
         top = topk_magnitude_mask(theta, p.k)
         sketched = mask_eigenspace_overlap(top, truncate(dec, p.k).eigenbasis(), p.k)
         assert abs(p.sketched - sketched) <= 1e-12
-        if dense_max_dim < dim:
+        if cap < dim:
             assert np.isnan(p.exact)
         else:
             exact_basis = OrthonormalBasis(vectors[:, :p.k], check=False)
@@ -245,12 +246,12 @@ def test_overlap_curve_planted_oracle_matches_dense(monkeypatch):
         assert abs(p.exact - q.exact) <= 1e-12
 
 
-def test_overlap_curve_planted_above_cap_is_skipped():
+def test_overlap_curve_planted_above_cap_is_skipped(monkeypatch):
     dim, rank = 60, 4
     op = make_planted_operator(dim, np.arange(rank, 0, -1.0), None, 0.0, seed=6)
     theta = ranked_theta(dim, np.arange(rank), seed=7)
-    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8,
-                          dense_max_dim=dim - 1)
+    monkeypatch.setattr(experiments, "DENSE_ORACLE_MAX_DIM", dim - 1)
+    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8)
     assert curve.exact_source == "skipped"
     assert all(np.isnan(p.exact) for p in curve.points)
 

@@ -192,7 +192,11 @@ def test_verify_store_checks_merged_seeded_fill(tmp_path):
     lambda m: "{not json",
     lambda m: json.dumps({k: v for k, v in m.items() if k != "chunks"}),
     lambda m: json.dumps({**m, "rows": "8"}),
-], ids=["bad_json", "missing_key", "non_integer"])
+    lambda m: json.dumps({**m, "chunks": [{**c, "file": "chunk-00000.bin"}
+                                          for c in m["chunks"]]}),
+    lambda m: json.dumps({**m, "chunks": [{**m["chunks"][0], "file": "manifest.json"},
+                                          *m["chunks"][1:]]}),
+], ids=["bad_json", "missing_key", "non_integer", "duplicate_file", "manifest_file"])
 def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
     store = create_layout(tmp_path / "s.store", 8, 6, chunk_cols=3)
     manifest_path = store.path / "manifest.json"
