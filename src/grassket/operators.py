@@ -79,6 +79,8 @@ class DenseOperator(LinearOperator):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
+        if not np.all(np.isfinite(matrix)):
+            raise ContractViolation("matrix has non-finite entries")
         if hermitian is None:
             hermitian = matrix.shape[0] == matrix.shape[1] and np.array_equal(
                 matrix, matrix.T
@@ -104,6 +106,8 @@ class DiagonalOperator(LinearOperator):
 
     def __init__(self, diag):
         diag = np.asarray(diag, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(diag)):
+            raise ContractViolation("diagonal has non-finite entries")
         super().__init__(len(diag), len(diag), hermitian=True)
         self.diag = diag
 
@@ -133,13 +137,11 @@ class CountingOperator(LinearOperator):
 class PlantedOperator(LinearOperator):
     """Symmetric operator with a known low-rank spectrum A = U diag(l) U^T.
 
-    ``basis`` is column-orthonormal, ``eigvals`` sorted by nonincreasing
-    magnitude, and ``alignment`` records how strongly the planted eigenbasis
-    concentrates on a designated coordinate subset (see
-    :func:`make_planted_operator`).
+    ``basis`` is column-orthonormal and ``eigvals`` sorted by nonincreasing
+    magnitude; :func:`make_planted_operator` steers the basis onto a mask.
     """
 
-    def __init__(self, basis, eigvals, alignment=None, mask_indices=None):
+    def __init__(self, basis, eigvals):
         basis = np.asarray(basis, dtype=np.float64)
         eigvals = np.asarray(eigvals, dtype=np.float64).ravel()
         if basis.ndim != 2 or basis.shape[1] != len(eigvals):
@@ -154,8 +156,6 @@ class PlantedOperator(LinearOperator):
         self.dim = basis.shape[0]
         self.basis = basis
         self.eigvals = eigvals
-        self.alignment = alignment
-        self.mask_indices = None if mask_indices is None else np.asarray(mask_indices)
 
     @property
     def rank(self):
@@ -203,7 +203,6 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         if mask_target is not None and mask_target.dim != dim:
             raise ValueError("mask_target dimension mismatch")
         basis = haar
-        mask_indices = None if mask_target is None else mask_target.indices
     else:
         if not isinstance(mask_target, SparseMask):
             raise TypeError("mask_target must be a SparseMask")
@@ -222,9 +221,8 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         supported = supported @ (W @ Vt)
         blend = (1.0 - alignment) * haar + alignment * supported
         basis = positive_qr(blend)
-        mask_indices = mask_target.indices
 
-    return PlantedOperator(basis, eigvals, alignment=alignment, mask_indices=mask_indices)
+    return PlantedOperator(basis, eigvals)
 
 
 def eigh_by_magnitude(matrix):

@@ -6,8 +6,13 @@ IEEE-754 binary64, little-endian, column-major inside every chunk, so a
 column is one contiguous byte run and concurrent writers touching disjoint
 column ranges never share bytes.  ``merge`` streams the chunks into a single
 monolithic file (a one-line JSON header followed by one data segment) through
-a bounded buffer; reads work transparently on either form and are bit-exact,
-including signed zeros and subnormals.
+a bounded buffer.
+
+Both forms open as one ``MatrixStore`` handle whose ``chunks`` are always the
+``chunk_cols``-wide column grid: in a directory each chunk is its own file,
+in a merged file every chunk names that file at the byte offset of its first
+column.  Reads, writes and integrity checks walk that one chunk list, and
+reads are bit-exact on either form, including signed zeros and subnormals.
 
 Manifest schema (format_version 1)::
 
@@ -20,8 +25,9 @@ Manifest schema (format_version 1)::
       "metadata": { ... caller supplied, unknown keys are ignored ... }
     }
 
-The merged header holds the same fields minus ``chunks``, with ``chunk_cols``
-renamed ``source_chunk_cols``.
+The chunk list must be exactly the grid that ``rows``, ``cols`` and
+``chunk_cols`` define.  The merged header holds the same fields minus
+``chunks``, with ``chunk_cols`` renamed ``source_chunk_cols``.
 """
 
 import json
@@ -35,8 +41,7 @@ import numpy as np
 from .errors import ContractViolation, IntegrityError
 
 __all__ = [
-    "ChunkedMatrixStore",
-    "MergedMatrix",
+    "MatrixStore",
     "ChunkSpec",
     "create_layout",
     "open_store",
@@ -60,9 +65,12 @@ MAX_CHUNKS = 1024
 
 @dataclass(frozen=True)
 class ChunkSpec:
+    """Columns [col_start, col_stop), stored in ``file`` from byte ``offset`` on."""
+
     file: str
     col_start: int
     col_stop: int
+    offset: int = 0
 
     @property
     def width(self):
@@ -70,8 +78,8 @@ class ChunkSpec:
 
 
 @dataclass
-class ChunkedMatrixStore:
-    """Handle on a chunked store directory (see module docstring)."""
+class MatrixStore:
+    """Handle on a chunked store directory or a merged file (see module docstring)."""
 
     path: Path
     rows: int
@@ -79,11 +87,23 @@ class ChunkedMatrixStore:
     chunk_cols: int
     chunks: list
     metadata: dict
+    merged: bool = False
     _inflight: set = field(default_factory=set, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
+    @property
+    def data_offset(self):
+        """Byte offset of column 0: a merged file's header length, 0 in a directory."""
+        return self.chunks[0].offset
+
     def chunk_path(self, spec):
-        return self.path / spec.file
+        return self.path if self.merged else self.path / spec.file
+
+    def describe(self, spec):
+        """A chunk as problem reports name it: its file, or a merged column range."""
+        if self.merged:
+            return f"columns [{spec.col_start}, {spec.col_stop})"
+        return spec.file
 
     def manifest_dict(self):
         return {
@@ -101,16 +121,26 @@ class ChunkedMatrixStore:
         }
 
 
-@dataclass
-class MergedMatrix:
-    """Handle on a merged monolithic file: header plus one data segment."""
+def _chunk_grid(rows, cols, chunk_cols, merged_file=None, data_offset=0):
+    """The chunk list of a rows-by-cols matrix cut into chunk_cols-wide columns.
 
-    path: Path
-    rows: int
-    cols: int
-    data_offset: int
-    source_chunk_cols: int
-    metadata: dict
+    Chunks are ``chunk-{i:05d}.bin`` files, or with ``merged_file`` that one
+    file at the byte offset of each chunk's first column.
+    """
+    if min(rows, cols, chunk_cols) < 1:
+        raise ValueError("rows, cols and chunk_cols must all be positive")
+    n_chunks = -(-cols // chunk_cols)
+    if n_chunks > MAX_CHUNKS:
+        raise ValueError(
+            f"{n_chunks} chunks exceed the {MAX_CHUNKS}-chunk limit; "
+            "raise chunk_cols"
+        )
+    if merged_file is None:
+        return [ChunkSpec(f"chunk-{i:05d}.bin", start, min(start + chunk_cols, cols))
+                for i, start in enumerate(range(0, cols, chunk_cols))]
+    return [ChunkSpec(merged_file, start, min(start + chunk_cols, cols),
+                      data_offset + start * rows * DTYPE.itemsize)
+            for start in range(0, cols, chunk_cols)]
 
 
 def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
@@ -122,14 +152,7 @@ def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
     so downstream tools stay clear of open-file limits.
     """
     rows, cols, chunk_cols = int(rows), int(cols), int(chunk_cols)
-    if min(rows, cols, chunk_cols) < 1:
-        raise ValueError("rows, cols and chunk_cols must all be positive")
-    n_chunks = -(-cols // chunk_cols)
-    if n_chunks > MAX_CHUNKS:
-        raise ValueError(
-            f"{n_chunks} chunks exceed the {MAX_CHUNKS}-chunk limit; "
-            "raise chunk_cols"
-        )
+    chunks = _chunk_grid(rows, cols, chunk_cols)
     path = Path(path)
     if path.exists():
         if not overwrite:
@@ -138,14 +161,8 @@ def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
             old.unlink()
     path.mkdir(parents=True, exist_ok=True)
 
-    chunks = []
-    for i, start in enumerate(range(0, cols, chunk_cols)):
-        stop = min(start + chunk_cols, cols)
-        chunks.append(ChunkSpec(f"chunk-{i:05d}.bin", start, stop))
-    store = ChunkedMatrixStore(
-        path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
-        chunks=chunks, metadata=dict(metadata or {}),
-    )
+    store = MatrixStore(path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
+                        chunks=chunks, metadata=dict(metadata or {}))
     for spec in chunks:
         with open(store.chunk_path(spec), "wb") as fh:
             fh.truncate(rows * spec.width * DTYPE.itemsize)
@@ -165,38 +182,22 @@ def _int_field(mapping, key):
     return value
 
 
-def _chunk_file_field(chunk):
-    """The chunk's file name, which must name a file inside the store directory."""
-    name = chunk["file"]
-    if (not isinstance(name, str) or Path(name).name != name
-            or name in ("", ".", "..", MANIFEST_NAME)):
-        raise ValueError(f"chunk file {name!r} is not a bare file name")
-    return name
-
-
 def open_store(path):
     """Open an existing chunked store; a malformed manifest raises IntegrityError.
 
-    Chunk files must be distinct bare names, so a manifest can neither steer
-    reads and writes outside the store directory nor alias two chunks.
+    The manifest's chunk list must be the ``chunk_cols`` grid itself, so a
+    manifest can neither steer reads and writes outside the store directory
+    nor alias, reorder or reshape chunks.
     """
     path = Path(path)
     try:
         manifest = json.loads((path / MANIFEST_NAME).read_bytes())
         version = _int_field(manifest, "format_version")
-        chunks = [
-            ChunkSpec(_chunk_file_field(c), _int_field(c, "col_start"),
-                      _int_field(c, "col_stop"))
-            for c in manifest["chunks"]
-        ]
-        store = ChunkedMatrixStore(
-            path=path,
-            rows=_int_field(manifest, "rows"),
-            cols=_int_field(manifest, "cols"),
-            chunk_cols=_int_field(manifest, "chunk_cols"),
-            chunks=sorted(chunks, key=lambda c: c.col_start),
-            metadata=dict(manifest.get("metadata", {})),
-        )
+        rows, cols, chunk_cols = (_int_field(manifest, key)
+                                  for key in ("rows", "cols", "chunk_cols"))
+        chunks = _chunk_grid(rows, cols, chunk_cols)
+        listed = [(c["file"], c["col_start"], c["col_stop"]) for c in manifest["chunks"]]
+        metadata = dict(manifest.get("metadata", {}))
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed manifest in {path}: {exc!r}") from exc
     if version > FORMAT_VERSION:
@@ -204,18 +205,61 @@ def open_store(path):
             f"manifest format_version {version} is newer "
             f"than supported ({FORMAT_VERSION})"
         )
-    files = [c.file for c in store.chunks]
-    if len(set(files)) != len(files):
-        raise IntegrityError(f"chunk files are not distinct: {files}")
-    widths = [(c.col_start, c.col_stop) for c in store.chunks]
-    cursor = 0
-    for start, stop in widths:
-        if start != cursor or stop <= start:
-            raise IntegrityError(f"chunk ranges are not disjoint and contiguous: {widths}")
-        cursor = stop
-    if cursor != store.cols:
-        raise IntegrityError("chunk widths do not sum to the column count")
-    return store
+    if listed != [(c.file, c.col_start, c.col_stop) for c in chunks]:
+        raise IntegrityError(
+            f"chunk list in {path} is not the {chunk_cols}-column grid: {listed}"
+        )
+    return MatrixStore(path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
+                       chunks=chunks, metadata=metadata)
+
+
+def open_merged(path):
+    """Open a merged file; a malformed header raises IntegrityError."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MERGED_MAGIC))
+        if magic != MERGED_MAGIC:
+            raise IntegrityError(f"{path} is not a merged matrix file")
+        header = fh.readline()
+        data_offset = fh.tell()
+    try:
+        manifest = json.loads(header)
+        rows = _int_field(manifest, "rows")
+        cols = _int_field(manifest, "cols")
+        chunk_cols = _int_field(manifest, "source_chunk_cols")
+        return MatrixStore(
+            path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
+            chunks=_chunk_grid(rows, cols, chunk_cols, path.name, data_offset),
+            metadata=dict(manifest.get("metadata", {})), merged=True,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed header in {path}: {exc!r}") from exc
+
+
+def open_any(source):
+    """Accept a store handle, or a path to either store form."""
+    if isinstance(source, MatrixStore):
+        return source
+    path = Path(source)
+    if path.is_dir():
+        return open_store(path)
+    return open_merged(path)
+
+
+def _pieces(handle, col_start, n_cols):
+    """(chunk, lo, hi, byte position of column lo) for every chunk holding some
+    of columns [col_start, col_start + n_cols); a range outside the matrix is a
+    ValueError at any width."""
+    col_stop = col_start + n_cols
+    if n_cols < 0 or col_start < 0 or col_stop > handle.cols:
+        raise ValueError(f"columns [{col_start}, {col_stop}) outside [0, {handle.cols})")
+    column_bytes = handle.rows * DTYPE.itemsize
+    pieces = []
+    for spec in handle.chunks:
+        lo, hi = max(col_start, spec.col_start), min(col_stop, spec.col_stop)
+        if lo < hi:
+            pieces.append((spec, lo, hi, spec.offset + (lo - spec.col_start) * column_bytes))
+    return pieces
 
 
 def _claim_range(store, start, stop):
@@ -242,111 +286,34 @@ def write_columns(store, col_start, block):
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[0] != store.rows:
         raise ValueError(f"block must be {store.rows}-by-w, got shape {block.shape}")
-    col_start = int(col_start)
-    width = block.shape[1]
-    if width == 0:
-        return
-    if col_start < 0 or col_start + width > store.cols:
-        raise ValueError(
-            f"columns [{col_start}, {col_start + width}) outside [0, {store.cols})"
-        )
+    col_start, width = int(col_start), block.shape[1]
+    pieces = _pieces(store, col_start, width)
     _claim_range(store, col_start, col_start + width)
     try:
-        for spec in store.chunks:
-            lo = max(col_start, spec.col_start)
-            hi = min(col_start + width, spec.col_stop)
-            if lo >= hi:
-                continue
+        for spec, lo, hi, position in pieces:
             piece = np.asfortranarray(block[:, lo - col_start:hi - col_start],
                                       dtype=DTYPE)
             with open(store.chunk_path(spec), "r+b") as fh:
-                fh.seek((lo - spec.col_start) * store.rows * DTYPE.itemsize)
+                fh.seek(position)
                 fh.write(piece.tobytes(order="F"))
     finally:
         _release_range(store, col_start, col_start + width)
-
-
-def _read_chunked(store, col_start, n_cols):
-    out = np.empty((store.rows, n_cols), dtype=np.float64, order="F")
-    for spec in store.chunks:
-        lo = max(col_start, spec.col_start)
-        hi = min(col_start + n_cols, spec.col_stop)
-        if lo >= hi:
-            continue
-        chunk_file = store.chunk_path(spec)
-        if not chunk_file.exists():
-            raise IntegrityError(f"missing chunk file: {spec.file}")
-        raw = np.fromfile(
-            chunk_file, dtype=DTYPE, count=store.rows * (hi - lo),
-            offset=(lo - spec.col_start) * store.rows * DTYPE.itemsize,
-        )
-        if raw.size != store.rows * (hi - lo):
-            raise IntegrityError(f"truncated chunk file: {spec.file}")
-        out[:, lo - col_start:hi - col_start] = raw.reshape(
-            (store.rows, hi - lo), order="F"
-        )
-    return out
-
-
-def _read_merged(merged, col_start, n_cols):
-    raw = np.fromfile(
-        merged.path, dtype=DTYPE, count=merged.rows * n_cols,
-        offset=merged.data_offset + col_start * merged.rows * DTYPE.itemsize,
-    )
-    if raw.size != merged.rows * n_cols:
-        raise IntegrityError(f"truncated data segment in {merged.path}")
-    return raw.reshape((merged.rows, n_cols), order="F").astype(np.float64, copy=False)
-
-
-def open_merged(path):
-    """Open a merged file; a malformed header raises IntegrityError."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MERGED_MAGIC))
-        if magic != MERGED_MAGIC:
-            raise IntegrityError(f"{path} is not a merged matrix file")
-        header = fh.readline()
-        data_offset = fh.tell()
-    try:
-        manifest = json.loads(header)
-        merged = MergedMatrix(
-            path=path,
-            rows=_int_field(manifest, "rows"),
-            cols=_int_field(manifest, "cols"),
-            data_offset=data_offset,
-            source_chunk_cols=_int_field(manifest, "source_chunk_cols"),
-            metadata=dict(manifest.get("metadata", {})),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"malformed header in {path}: {exc!r}") from exc
-    if merged.source_chunk_cols < 1:
-        raise IntegrityError(f"{path}: source_chunk_cols must be positive")
-    return merged
-
-
-def open_any(source):
-    """Accept a store handle, merged handle, or a path to either form."""
-    if isinstance(source, (ChunkedMatrixStore, MergedMatrix)):
-        return source
-    path = Path(source)
-    if path.is_dir():
-        return open_store(path)
-    return open_merged(path)
 
 
 def read_columns(source, col_start, n_cols):
     """Bit-exact read of columns [col_start, col_start + n_cols)."""
     handle = open_any(source)
     col_start, n_cols = int(col_start), int(n_cols)
-    if n_cols == 0:
-        return np.empty((handle.rows, 0))
-    if n_cols < 0 or col_start < 0 or col_start + n_cols > handle.cols:
-        raise ValueError(
-            f"columns [{col_start}, {col_start + n_cols}) outside [0, {handle.cols})"
-        )
-    if isinstance(handle, ChunkedMatrixStore):
-        return _read_chunked(handle, col_start, n_cols)
-    return _read_merged(handle, col_start, n_cols)
+    pieces = _pieces(handle, col_start, n_cols)
+    out = np.empty((handle.rows, n_cols), dtype=DTYPE, order="F")
+    flat = out.reshape(-1, order="F")  # a view: each column range is one byte run
+    for spec, lo, hi, position in pieces:
+        run = flat[(lo - col_start) * handle.rows:(hi - col_start) * handle.rows]
+        with open(handle.chunk_path(spec), "rb") as fh:
+            fh.seek(position)
+            if fh.readinto(run) != run.nbytes:
+                raise IntegrityError(f"{handle.path}: {handle.describe(spec)} is truncated")
+    return out
 
 
 def read_matrix(source):
@@ -355,23 +322,20 @@ def read_matrix(source):
 
 
 def _structural_issues(handle):
-    """Missing or wrongly sized chunk files, or a wrongly sized data segment."""
-    if isinstance(handle, MergedMatrix):
-        expected = handle.rows * handle.cols * DTYPE.itemsize
-        actual = handle.path.stat().st_size - handle.data_offset
-        if actual != expected:
-            return [f"data segment: {actual} bytes, expected {expected}"]
-        return []
+    """Missing files, or files that do not end where their last chunk ends."""
+    last = {handle.chunk_path(spec): spec for spec in handle.chunks}  # grid order
     issues = []
-    for spec in handle.chunks:
-        chunk_file = handle.chunk_path(spec)
+    for chunk_file, spec in last.items():
         if not chunk_file.exists():
             issues.append(f"missing chunk file: {spec.file}")
             continue
-        expected = handle.rows * spec.width * DTYPE.itemsize
-        actual = chunk_file.stat().st_size
-        if actual != expected:
-            issues.append(f"chunk {spec.file}: {actual} bytes, expected {expected}")
+        end = spec.offset + handle.rows * spec.width * DTYPE.itemsize
+        size = chunk_file.stat().st_size
+        if size != end:
+            # counted from column 0, so a merged file reports its data segment
+            what = "data segment" if handle.merged else f"chunk {spec.file}"
+            issues.append(f"{what}: {size - handle.data_offset} bytes, "
+                          f"expected {end - handle.data_offset}")
     return issues
 
 
@@ -382,6 +346,8 @@ def merge(store, out_path, overwrite=False):
     merging the same store twice yields byte-identical files.  Each chunk is
     copied through ``shutil.copyfileobj``'s bounded buffer.
     """
+    if store.merged:
+        raise ValueError(f"{store.path} is already a merged file")
     issues = _structural_issues(store)
     if issues:
         raise IntegrityError("; ".join(issues))
@@ -414,35 +380,26 @@ def verify_store(source):
         if issues or handle.metadata.get("fill") != "gaussian" or seed is None:
             return issues
         rng = np.random.default_rng(int(seed))
-        for start, width, label in _fill_chunks(handle):
-            expected = rng.standard_normal((handle.rows, width))
-            if not np.array_equal(read_columns(handle, start, width), expected):
-                issues.append(f"content mismatch in {label}")
+        for spec in handle.chunks:
+            expected = rng.standard_normal((handle.rows, spec.width))
+            if not np.array_equal(read_columns(handle, spec.col_start, spec.width), expected):
+                issues.append(f"content mismatch in {handle.describe(spec)}")
     except (OSError, IntegrityError) as exc:
         return [f"unreadable: {exc}"]
     return issues
 
 
-def _fill_chunks(handle):
-    """(col_start, width, label) per chunk, in the order ``fill_gaussian`` draws."""
-    if isinstance(handle, ChunkedMatrixStore):
-        return [(spec.col_start, spec.width, spec.file) for spec in handle.chunks]
-    # a merged file keeps the chunk width of the store it was merged from
-    step = handle.source_chunk_cols
-    return [(start, min(step, handle.cols - start),
-             f"columns [{start}, {min(start + step, handle.cols)})")
-            for start in range(0, handle.cols, step)]
-
-
 def fill_gaussian(store, seed):
-    """Fill a store with standard Gaussian data, one chunk at a time.
+    """Fill a store directory with standard Gaussian data, one chunk at a time.
 
     The draw order is chunk order; ``verify_store`` regenerates the data in
     the same order to detect corruption.
     """
+    if store.merged:
+        raise ValueError(f"{store.path} is a merged file; fill the store directory")
     rng = np.random.default_rng(seed)
-    for start, width, _ in _fill_chunks(store):
-        write_columns(store, start, rng.standard_normal((store.rows, width)))
+    for spec in store.chunks:
+        write_columns(store, spec.col_start, rng.standard_normal((store.rows, spec.width)))
     store.metadata["fill"] = "gaussian"
     store.metadata["fill_seed"] = int(seed)
     _write_manifest(store)

@@ -82,6 +82,19 @@ def test_decompose_dense_store_requires_symmetry(tmp_path):
     assert code == 2  # numerical-contract failure
 
 
+def test_decompose_dense_store_refuses_non_finite_matrix(tmp_path):
+    from grassket.storage import create_layout, write_columns
+
+    matrix = np.eye(12)
+    matrix[4, 4] = np.inf
+    store = create_layout(tmp_path / "m.store", 12, 12, chunk_cols=5)
+    write_columns(store, 0, matrix)
+    out = tmp_path / "out"
+    assert run(["decompose", "--output-dir", out, "--dense-store", store.path,
+                "--n-outer", 3]) == 2  # numerical-contract failure
+    assert not out.exists()
+
+
 def test_decompose_dense_store(tmp_path):
     from grassket.storage import create_layout, write_columns
 

@@ -156,6 +156,15 @@ def test_planted_rejects_non_finite_basis():
         PlantedOperator(np.full((4, 2), np.nan), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DiagonalOperator([1.0, np.nan]),
+    lambda: DenseOperator(np.diag([1.0, np.inf])),
+], ids=["diagonal", "dense"])
+def test_operators_reject_non_finite_entries(make):
+    with pytest.raises(ContractViolation):
+        make()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_planted_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,14 @@ def test_public_names_resolve():
             for alias in node.names:
                 assert hasattr(grassket, alias.name), alias.name
                 assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "vs chance" in capsys.readouterr().out
 
 
 def test_sketch_runs_without_scipy():

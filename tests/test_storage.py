@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from grassket.cli import main
 from grassket.errors import ContractViolation, IntegrityError
 from grassket.storage import (create_layout, fill_gaussian, merge, open_merged,
                               open_store, read_columns, read_matrix,
@@ -71,6 +72,15 @@ def test_write_validation(tmp_path):
         write_columns(store, 0, np.zeros((5, 2)))  # wrong row count
     with pytest.raises(ValueError):
         read_columns(store, 4, 3)
+    # a zero-width range is checked like any other
+    with pytest.raises(ValueError):
+        read_columns(store, -5, 0)
+    with pytest.raises(ValueError):
+        read_columns(store, 7, 0)
+    with pytest.raises(ValueError):
+        write_columns(store, -5, np.zeros((4, 0)))
+    with pytest.raises(ValueError):
+        write_columns(store, 7, np.zeros((4, 0)))
 
 
 def test_overlapping_inflight_writes_detected(tmp_path):
@@ -134,6 +144,18 @@ def test_merge_is_idempotent(tmp_path):
     assert (tmp_path / "a.mx").read_bytes() == (tmp_path / "b.mx").read_bytes()
 
 
+def test_merged_handle_is_not_merged_or_filled_again(tmp_path):
+    store = create_layout(tmp_path / "s.store", 6, 5, chunk_cols=2)
+    merged = merge(store, tmp_path / "s.mx")
+    before = merged.path.read_bytes()
+    with pytest.raises(ValueError, match="merged"):
+        merge(merged, tmp_path / "again.mx")
+    with pytest.raises(ValueError, match="merged"):
+        fill_gaussian(merged, seed=1)
+    assert not (tmp_path / "again.mx").exists()
+    assert merged.path.read_bytes() == before
+
+
 def test_merge_incomplete_store_fails_with_chunk_id(tmp_path):
     store = create_layout(tmp_path / "s.store", 8, 6, chunk_cols=2)
     write_columns(store, 0, np.ones((8, 6)))
@@ -180,7 +202,7 @@ def test_verify_store_checks_merged_seeded_fill(tmp_path):
     store = create_layout(tmp_path / "s.store", 32, 10, chunk_cols=4)
     fill_gaussian(store, seed=7)
     merged = merge(store, tmp_path / "s.mx")
-    assert merged.source_chunk_cols == 4
+    assert merged.chunk_cols == 4
     assert verify_store(merged) == []
     raw = bytearray(merged.path.read_bytes())
     raw[merged.data_offset + 5 * 32 * 8] ^= 0x01  # column 5
@@ -196,7 +218,10 @@ def test_verify_store_checks_merged_seeded_fill(tmp_path):
                                           for c in m["chunks"]]}),
     lambda m: json.dumps({**m, "chunks": [{**m["chunks"][0], "file": "manifest.json"},
                                           *m["chunks"][1:]]}),
-], ids=["bad_json", "missing_key", "non_integer", "duplicate_file", "manifest_file"])
+    lambda m: json.dumps({**m, "chunks": m["chunks"][::-1]}),
+    lambda m: json.dumps({**m, "chunk_cols": 2}),  # widths 3+3 are not the 2-column grid
+], ids=["bad_json", "missing_key", "non_integer", "duplicate_file", "manifest_file",
+        "out_of_order", "off_grid"])
 def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
     store = create_layout(tmp_path / "s.store", 8, 6, chunk_cols=3)
     manifest_path = store.path / "manifest.json"
@@ -206,14 +231,22 @@ def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
     assert verify_store(store.path)[0].startswith("unreadable")
 
 
-def test_malformed_merged_header_raises_integrity_error(tmp_path):
+@pytest.mark.parametrize("field, bad", [
+    (b'"source_chunk_cols": 2', b'"source_chunk_cols": null'),
+    (b'"rows": 4', b'"rows": -4'),
+    (b'"cols": 4', b'"cols": 0'),
+    (b'"cols": 4', b'"cols": 2050'),  # 1025 two-column chunks
+], ids=["null_chunk_cols", "negative_rows", "zero_cols", "too_many_chunks"])
+def test_malformed_merged_header_raises_integrity_error(tmp_path, field, bad):
     store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2)
     merged = merge(store, tmp_path / "s.mx")
-    raw = merged.path.read_bytes().replace(b'"source_chunk_cols": 2',
-                                           b'"source_chunk_cols": null')
-    merged.path.write_bytes(raw)
+    raw = merged.path.read_bytes()
+    assert raw.count(field) == 1
+    merged.path.write_bytes(raw.replace(field, bad))
     with pytest.raises(IntegrityError):
         open_merged(merged.path)
+    assert main(["decompose", "--output-dir", str(tmp_path / "out"),
+                 "--dense-store", str(merged.path), "--n-outer", "3"]) == 3
 
 
 def test_merged_reader_rejects_other_files(tmp_path):
