@@ -9,7 +9,8 @@ configuration, which is written as ``config.json`` next to the outputs;
 nothing is written outside the chosen output directory.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-contract failure, 3 I/O or
-integrity; ``verify`` exits with the number of failed checks.
+integrity; ``verify`` exits with the number of failed checks, and so does
+``store verify`` on a store that opens.
 """
 
 import argparse
@@ -184,7 +185,9 @@ def cmd_store_merge(args):
 
 
 def cmd_store_verify(args):
-    issues = storage.verify_store(args.path)
+    # a store that does not open is an I/O or integrity error (exit 3), not a
+    # count of problems
+    issues = storage.verify_store(storage.open_any(args.path))
     for issue in issues:
         print(f"[FAIL] {issue}")
     if not issues:

@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grassmann import (MetricKind, metric, overlap, principal_angles,
-                        similarity, stiefel_from_rng)
-from .masks import magnitude_ranking, mask_basis, mask_from_rng
+from .grassmann import (MetricKind, PrincipalAngles, cross_angles, metric,
+                        overlap_baseline, overlap_variance, qr_rows, similarity)
+from .masks import magnitude_ranking, mask_from_rng
 from .operators import PlantedOperator, eigh_by_magnitude
 from .sketch import blas_threads_for, draw_measurements, seigh
 
@@ -96,10 +96,35 @@ class BaselineResult:
         raise KeyError(f"no cell ({modality}, {kind}, D={dim}, rho={rho})")
 
 
-def _draw_one(letter, rng, dim, k):
-    if letter == "O":
-        return stiefel_from_rng(rng, dim, k)
-    return mask_basis(mask_from_rng(rng, dim, k))
+def _pair_sample(modality, kind, rng, dim, k):
+    """One similarity sample of a random pair of rank-k subspaces of R^dim.
+
+    By rotation invariance one Haar basis against a fixed coordinate span has
+    the overlap and angle law of two independent Haar bases.  So a pair with
+    a Haar side draws one D x k Gaussian and, through one Gram product, keeps
+    only the k rows of its basis on that span: the leading k for OO, a
+    uniform mask's (drawn next) for OM.  Those rows are the cross product of
+    the basis with the span.  Mask pairs need no embedding: they share
+    |m1 & m2| zero angles and the rest are right angles.
+    """
+    if k == dim:
+        # every pair spans the whole space: overlap exactly 1, zero angles
+        angles = PrincipalAngles(np.zeros(k))
+    elif modality == "MM":
+        shared = np.intersect1d(mask_from_rng(rng, dim, k).indices,
+                                mask_from_rng(rng, dim, k).indices,
+                                assume_unique=True).size
+        if kind is MetricKind.OVERLAP:
+            return shared / k
+        angles = PrincipalAngles(np.repeat([0.0, np.pi / 2], [shared, k - shared]))
+    else:
+        gaussian = rng.standard_normal((dim, k))
+        rows = np.arange(k) if modality == "OO" else mask_from_rng(rng, dim, k).indices
+        cross = qr_rows(gaussian, rows)
+        if kind is MetricKind.OVERLAP:
+            return float(np.sum(cross * cross) / k)
+        angles = cross_angles(cross)
+    return similarity(kind, metric(kind, angles), k)
 
 
 def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
@@ -107,7 +132,9 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
 
     Every (D, rho, metric, modality) cell draws its own ``samples``
     independent pairs from a dedicated child stream of ``seed``, so cells are
-    independent jobs and the whole result is reproducible bit for bit.
+    independent jobs and the whole result is reproducible bit for bit.  A
+    pair with a Haar side costs one D x k Gaussian and one Gram product (see
+    ``_pair_sample``); cells run under ``sketch.blas_threads_for(D)``.
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
@@ -131,14 +158,9 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     for (dim, rho, kind, modality), stream in zip(cells, streams):
         rng = np.random.default_rng(stream)
         k = rho_to_k(dim, rho)
-        values = np.empty(samples)
-        for t in range(samples):
-            b1 = _draw_one(modality[0], rng, dim, k)
-            b2 = _draw_one(modality[1], rng, dim, k)
-            if kind is MetricKind.OVERLAP:
-                values[t] = overlap(b1, b2)
-            else:
-                values[t] = similarity(kind, metric(kind, principal_angles(b1, b2)), k)
+        with blas_threads_for(dim):
+            values = np.array([_pair_sample(modality, kind, rng, dim, k)
+                               for _ in range(samples)])
         p5, median, p95 = np.percentile(values, [5.0, 50.0, 95.0])
         rows.append(BaselineRow(
             modality=modality, metric=kind.value, dim=dim, k=k, rho=rho,
@@ -152,6 +174,7 @@ class LemmaCheck(NamedTuple):
     mean: float
     stderr: float
     passed: bool
+    z: float
 
 
 def verify_lemma(dim, k, samples, seed):
@@ -159,20 +182,25 @@ def verify_lemma(dim, k, samples, seed):
 
     Passes when the sample mean falls within four standard errors of k/D
     (plus a 1e-12 absolute guard for the k = D corner, where every sample is
-    1 up to rounding and the standard error collapses to zero).
+    exactly 1 and the standard error is zero).  Each sample is one Haar
+    basis against the leading k coordinates (see ``_pair_sample``).  ``z`` is
+    the mean's deviation from k/D in units of the closed-form standard error
+    ``sqrt(overlap_variance(D, k) / samples)``; it is 0 at k = D.
     """
+    expected = overlap_baseline(dim, k)
     samples = int(samples)
     if samples < 30:
         raise ValueError("need at least 30 samples for a meaningful standard error")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    values = np.empty(samples)
-    for t in range(samples):
-        values[t] = overlap(stiefel_from_rng(rng, dim, k),
-                            stiefel_from_rng(rng, dim, k))
+    with blas_threads_for(dim):
+        values = np.array([_pair_sample("OO", MetricKind.OVERLAP, rng, dim, k)
+                           for _ in range(samples)])
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(samples))
-    passed = abs(mean - k / dim) <= 4.0 * stderr + 1e-12
-    return LemmaCheck(mean=mean, stderr=stderr, passed=passed)
+    passed = abs(mean - expected) <= 4.0 * stderr + 1e-12
+    exact_stderr = np.sqrt(overlap_variance(dim, k) / samples)
+    z = float((mean - expected) / exact_stderr) if exact_stderr > 0 else 0.0
+    return LemmaCheck(mean=mean, stderr=stderr, passed=passed, z=z)
 
 
 def ranked_theta(dim, priority, seed):

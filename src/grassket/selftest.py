@@ -100,7 +100,8 @@ def run_checks(samples, seed, workdir):
     for dim, k in ((128, 6), (512, 26), (2048, 102)):
         lemma = verify_lemma(dim, k, samples, seed)
         yield (f"chance-level overlap D={dim} k={k}", lemma.passed,
-               f"mean={lemma.mean!r} expected={k / dim:.6f} stderr={lemma.stderr:.2e}")
+               f"mean={lemma.mean!r} expected={k / dim:.6f} stderr={lemma.stderr:.2e} "
+               f"z={lemma.z:+.2f}")
 
     worst_mask, worst_basis = bijection_deviations(seed)
     yield ("mask metric bijections", worst_mask <= 1e-12,

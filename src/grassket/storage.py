@@ -26,7 +26,8 @@ Manifest schema (format_version 1)::
     }
 
 The chunk list must be exactly the grid that ``rows``, ``cols`` and
-``chunk_cols`` define.  The merged header holds the same fields minus
+``chunk_cols`` define, and ``dtype`` and ``layout`` must be the two values
+above.  The merged header holds the same fields minus
 ``chunks``, with ``chunk_cols`` renamed ``source_chunk_cols``.
 """
 
@@ -57,6 +58,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 DTYPE = np.dtype("<f8")
+LAYOUT = "column-major"
 MANIFEST_NAME = "manifest.json"
 MERGED_MAGIC = b"GKMX1\n"
 # keep stores well under typical open-file limits
@@ -111,7 +113,7 @@ class MatrixStore:
             "rows": self.rows,
             "cols": self.cols,
             "dtype": DTYPE.str,
-            "layout": "column-major",
+            "layout": LAYOUT,
             "chunk_cols": self.chunk_cols,
             "chunks": [
                 {"file": c.file, "col_start": c.col_start, "col_stop": c.col_stop}
@@ -182,6 +184,16 @@ def _int_field(mapping, key):
     return value
 
 
+def _check_element_format(manifest, path):
+    """Refuse an element type or layout other than the one stores are read in."""
+    found = (manifest.get("dtype"), manifest.get("layout"))
+    if found != (DTYPE.str, LAYOUT):
+        raise IntegrityError(
+            f"{path} holds dtype {found[0]!r} in layout {found[1]!r}; "
+            f"only {DTYPE.str!r} in {LAYOUT!r} is supported"
+        )
+
+
 def open_store(path):
     """Open an existing chunked store; a malformed manifest raises IntegrityError.
 
@@ -205,6 +217,7 @@ def open_store(path):
             f"manifest format_version {version} is newer "
             f"than supported ({FORMAT_VERSION})"
         )
+    _check_element_format(manifest, path)
     if listed != [(c.file, c.col_start, c.col_stop) for c in chunks]:
         raise IntegrityError(
             f"chunk list in {path} is not the {chunk_cols}-column grid: {listed}"
@@ -227,6 +240,7 @@ def open_merged(path):
         rows = _int_field(manifest, "rows")
         cols = _int_field(manifest, "cols")
         chunk_cols = _int_field(manifest, "source_chunk_cols")
+        _check_element_format(manifest, path)
         return MatrixStore(
             path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
             chunks=_chunk_grid(rows, cols, chunk_cols, path.name, data_offset),

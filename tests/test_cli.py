@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from grassket.cli import main
+from grassket.grassmann import overlap_variance
 from grassket.storage import open_merged, open_store, read_matrix, verify_store
 
 
@@ -152,6 +154,13 @@ def test_verify_command(tmp_path):
     report = (tmp_path / "verify/verify_report.txt").read_text()
     assert "[FAIL]" not in report
     assert report.count("[PASS]") >= 7
+    # each chance-level line ends with the mean's deviation from k/D in
+    # closed-form standard errors
+    for dim, k in ((128, 6), (512, 26), (2048, 102)):
+        line = re.search(rf"^\[PASS\] chance-level overlap D={dim} k={k}: "
+                         r"mean=(\S+) .* z=(\S+)$", report, re.MULTILINE)
+        z = (float(line.group(1)) - k / dim) / np.sqrt(overlap_variance(dim, k) / 60)
+        assert float(line.group(2)) == pytest.approx(z, abs=0.0051)
     # the store round trips ran in a temporary directory that is gone
     assert sorted(p.name for p in (tmp_path / "verify").iterdir()) == [
         "config.json", "verify_report.txt"]
@@ -251,8 +260,9 @@ def test_store_manifest_cannot_reach_outside_files(tmp_path, capsys):
     issues = verify_store(store_path)
     assert len(issues) == 1 and issues[0].startswith("unreadable")
     capsys.readouterr()
-    assert run(["store", "verify", "--path", store_path]) == 1
-    assert "[FAIL] unreadable" in capsys.readouterr().out
+    # a store that does not open is an integrity error, not a count of problems
+    assert run(["store", "verify", "--path", store_path]) == 3
+    assert "ERROR type=io" in capsys.readouterr().err
     assert outside.read_bytes() == before
 
 

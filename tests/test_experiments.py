@@ -6,9 +6,11 @@ from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
                                   OverlapCurve, overlap_curve,
                                   overlap_ratio_report, ranked_theta, rho_to_k,
                                   run_baseline, verify_lemma)
-from grassket.grassmann import MetricKind, OrthonormalBasis
-from grassket.masks import (SparseMask, mask_eigenspace_overlap,
-                            topk_magnitude_mask)
+from grassket.grassmann import (MetricKind, OrthonormalBasis, metric,
+                                overlap, overlap_variance, principal_angles,
+                                similarity)
+from grassket.masks import (SparseMask, mask_basis, mask_eigenspace_overlap,
+                            mask_from_rng, topk_magnitude_mask)
 from grassket.operators import (DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
 from grassket.sketch import draw_measurements, seigh, truncate
@@ -94,6 +96,61 @@ def test_verify_lemma_passes():
     assert check.passed
     assert check.mean == pytest.approx(26 / 512, abs=4 * check.stderr + 1e-12)
     assert verify_lemma(128, 6, samples=500, seed=2).passed
+
+
+def chi2_band(dof, z=4.0):
+    """Wilson-Hilferty quantiles of chi2_dof / dof at z standard deviations."""
+    spread = np.sqrt(2.0 / (9.0 * dof))
+    return tuple((1.0 - 2.0 / (9.0 * dof) + sign * z * spread) ** 3 for sign in (-1, 1))
+
+
+@pytest.mark.parametrize("modality, variance", [
+    ("OO", 2 * 1946**2 / (2048**2 * 2047 * 2050)),  # Haar, closed form
+    ("OM", 2 * 1946**2 / (2048**2 * 2047 * 2050)),
+    ("MM", 1946**2 / (2048**2 * 2047)),             # hypergeometric count / k
+], ids=["OO", "OM", "MM"])
+def test_one_draw_samples_follow_the_chance_law(modality, variance):
+    # mean within 4 standard errors of k/D; sample variance inside the
+    # 4-sigma chi2 band around the closed form (the hypergeometric count's
+    # excess kurtosis, about 1/5 at mean k^2/D = 5.1, widens the true spread
+    # of the MM variance by under 5%)
+    dim, k = 2048, 102
+    samples = 4000 if modality == "MM" else 300
+    cell = run_baseline([dim], [0.05], [modality], [MetricKind.OVERLAP],
+                        samples=samples, seed=29).rows[0]
+    assert cell.k == k
+    if modality != "MM":
+        assert variance == overlap_variance(dim, k)
+    assert abs(cell.mean - k / dim) <= 4.0 * np.sqrt(variance / samples)
+    low, high = chi2_band(samples - 1)
+    assert low <= cell.std**2 / variance <= high
+
+
+def test_mask_pairs_match_the_dense_embedding_exactly():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        dim = int(rng.integers(1, 200))
+        k = int(rng.integers(1, dim + 1))
+        seed = int(rng.integers(2**63))
+        draws = np.random.default_rng(seed)
+        b1 = mask_basis(mask_from_rng(draws, dim, k))
+        b2 = mask_basis(mask_from_rng(draws, dim, k))
+        geodesic = metric(MetricKind.GEODESIC, principal_angles(b1, b2))
+        dense = {MetricKind.OVERLAP: overlap(b1, b2),
+                 MetricKind.GEODESIC: similarity(MetricKind.GEODESIC, geodesic, k)}
+        for kind, value in dense.items():
+            sample = experiments._pair_sample("MM", kind, np.random.default_rng(seed),
+                                              dim, k)
+            assert sample == value
+
+
+def test_verify_lemma_z_uses_the_closed_form_variance():
+    check = verify_lemma(512, 26, samples=60, seed=8)
+    stderr = np.sqrt(overlap_variance(512, 26) / 60)
+    assert check.z == pytest.approx((check.mean - 26 / 512) / stderr, rel=1e-12)
+    assert verify_lemma(24, 24, samples=30, seed=1).z == 0.0
+    with pytest.raises(ValueError):
+        verify_lemma(24, 25, samples=30, seed=1)
 
 
 def test_verify_lemma_full_dimension():

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grassket import grassmann
 from grassket.errors import ContractViolation
 from grassket.grassmann import (MetricKind, OrthonormalBasis, PrincipalAngles,
-                                metric, metric_max, overlap, overlap_baseline,
-                                principal_angles, sample_stiefel, similarity)
+                                cholesky_qr2, cross_angles, metric, metric_max,
+                                overlap, overlap_baseline, overlap_variance,
+                                positive_qr, principal_angles, qr_rows,
+                                sample_stiefel, similarity, stiefel_from_rng)
+from grassket.masks import mask_basis, mask_from_rng
 
 ALL_KINDS = list(MetricKind)
 DISTANCE_KINDS = [k for k in ALL_KINDS if k is not MetricKind.OVERLAP]
@@ -163,6 +169,73 @@ def test_sample_stiefel_column_marginal_isotropic():
     stderr = outer.std(axis=0, ddof=1) / np.sqrt(n)
     deviation = np.abs(mean - np.eye(dim) / dim)
     assert np.all(deviation <= 5 * stderr + 1e-12)
+
+
+@pytest.mark.parametrize("dim,k", [(48, 8), (2048, 102), (2048, 819), (24, 24), (15, 15)])
+def test_stiefel_from_rng_is_the_householder_basis(dim, k):
+    basis = stiefel_from_rng(np.random.default_rng(0), dim, k).columns
+    householder = positive_qr(np.random.default_rng(0).standard_normal((dim, k)))
+    assert np.abs(basis - householder).max() <= 1e-13
+    assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(40, 6, 3), (30, 30, 29), (12, 5, 1)])
+def test_cholesky_qr2_falls_back_on_rank_deficient_input(monkeypatch, rows, cols, rank):
+    rng = np.random.default_rng(rank)
+    matrix = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return positive_qr(m)
+
+    monkeypatch.setattr(grassmann, "positive_qr", spy)
+    q = cholesky_qr2(matrix)
+    assert calls == [(rows, cols)]
+    assert q.shape == (rows, cols)
+    assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-14
+    # one-draw rows of the same matrix come from the fallback too
+    assert np.array_equal(qr_rows(matrix, [0, 2]), q[[0, 2]])
+
+
+def test_cholesky_qr2_on_ill_conditioned_input():
+    # condition numbers from 1e2 to 1e12, past the reach of two passes:
+    # orthonormal columns, and Householder's Q up to its own forward error
+    rng = np.random.default_rng(5)
+    for exponent in range(2, 13, 2):
+        singular = np.logspace(0, -exponent, 8)
+        matrix = (positive_qr(rng.standard_normal((50, 8))) * singular
+                  @ positive_qr(rng.standard_normal((8, 8))))
+        q = cholesky_qr2(matrix)
+        assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-14
+        assert np.abs(q - positive_qr(matrix)).max() <= 1e-15 * 10.0**exponent
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 40), fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_draw_rows_match_the_full_basis(dim, fraction, seed):
+    k = max(1, round(fraction * dim))
+    rng = np.random.default_rng(seed)
+    gaussian = rng.standard_normal((dim, k))
+    mask = mask_from_rng(rng, dim, k)
+    full = OrthonormalBasis(cholesky_qr2(gaussian), check=False)
+    cross = qr_rows(gaussian, mask.indices)
+    assert np.sum(cross * cross) / k == pytest.approx(
+        overlap(mask_basis(mask), full), abs=1e-12)
+    # arccos turns 1e-16 rounding of a unit cosine into a 1e-8 angle, and
+    # k > D/2 forces zero angles, so the angles are compared as cosines
+    dense = principal_angles(mask_basis(mask), full).sigma
+    assert np.abs(np.cos(cross_angles(cross).sigma) - np.cos(dense)).max() <= 1e-12
+
+
+def test_overlap_variance_values():
+    assert overlap_variance(77, 77) == 0.0
+    assert overlap_variance(1, 1) == 0.0
+    assert overlap_variance(2048, 102) == pytest.approx(
+        2 * 1946**2 / (2048**2 * 2047 * 2050))
+    with pytest.raises(ValueError):
+        overlap_variance(10, 11)
 
 
 def test_overlap_trivial_cases():

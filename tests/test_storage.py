@@ -249,6 +249,39 @@ def test_malformed_merged_header_raises_integrity_error(tmp_path, field, bad):
                  "--dense-store", str(merged.path), "--n-outer", "3"]) == 3
 
 
+@pytest.mark.parametrize("edit", [
+    {"dtype": ">f4", "layout": "row-major"},
+    {"dtype": "<f4"},
+    {"layout": "row-major"},
+    {"dtype": None},  # the key removed
+], ids=["both", "dtype", "layout", "missing_dtype"])
+def test_foreign_element_format_is_refused(tmp_path, capsys, edit):
+    store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2)
+    write_columns(store, 0, np.eye(4))
+    merged = merge(store, tmp_path / "s.mx")
+
+    manifest_path = store.path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(edit)
+    manifest_path.write_text(json.dumps({k: v for k, v in manifest.items()
+                                         if v is not None}))
+    # the merged header is one sorted-key JSON line after the magic line
+    magic, header, data = merged.path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    fields.update(edit)
+    header = json.dumps({k: v for k, v in fields.items() if v is not None},
+                        sort_keys=True).encode()
+    merged.path.write_bytes(magic + b"\n" + header + b"\n" + data)
+
+    for path, opener in ((store.path, open_store), (merged.path, open_merged)):
+        with pytest.raises(IntegrityError, match="only '<f8' in 'column-major'"):
+            opener(path)
+        assert verify_store(path)[0].startswith("unreadable")
+        capsys.readouterr()
+        assert main(["store", "verify", "--path", str(path)]) == 3
+        assert "ERROR type=io" in capsys.readouterr().err
+
+
 def test_merged_reader_rejects_other_files(tmp_path):
     path = tmp_path / "not-a-store.bin"
     path.write_bytes(b"garbage")
