@@ -140,7 +140,7 @@ def cmd_curve(args):
     op, mask = _planted_from_args(args)
     n_inner = _resolve_n_inner(args)
     if args.top_k is None:
-        args.top_k = min(args.n_outer, mask.k)
+        args.top_k = min(args.n_outer, op.unique_rank)
     theta = experiments.ranked_theta(op.rows, mask.indices, args.theta_seed)
     curve = experiments.overlap_curve(op, theta, args.n_outer, n_inner,
                                       args.top_k, args.seed)
@@ -251,7 +251,8 @@ def build_parser():
     p.add_argument("--n-outer", type=int, required=True)
     p.add_argument("--n-inner", type=int, default=None)
     p.add_argument("--top-k", type=int, default=None,
-                   help="largest mask size (default min(n_outer, planted rank))")
+                   help="largest mask size (default min(n_outer, planted rank); "
+                        "the planted rank counts nonzero eigenvalues)")
     p.add_argument("--theta-seed", type=int, default=1,
                    help="seed of the synthetic parameter vector")
     p.set_defaults(func=cmd_curve)

@@ -1,14 +1,14 @@
 """Runnable studies: random-subspace baselines, the chance-level check, and
-exact-vs-sketched overlap curves on planted operators.
+exact-vs-sketched overlap curves.
 
 The baseline study draws random subspace or mask pairs over a grid of
 dimensions and sparsity ratios and tabulates the distribution of every
 requested normalized similarity, reproducing the empirical chance levels the
 overlap analysis is judged against.  The overlap curve study runs the full
-pipeline on a planted operator: magnitude masks from a parameter vector,
-exact overlap from the operator's planted eigenpairs (a dense
-eigendecomposition for any other operator), sketched overlap from the
-truncated sketched eigendecomposition, and the k/D chance level.
+pipeline on an operator: magnitude masks from a parameter vector, exact
+overlap from the operator's own reference eigenbasis (planted eigenpairs, or
+a dense eigendecomposition), sketched overlap from the truncated sketched
+eigendecomposition, and the k/D chance level.
 """
 
 import csv
@@ -21,7 +21,6 @@ import numpy as np
 from .grassmann import (MetricKind, PrincipalAngles, cross_angles, metric,
                         overlap_baseline, overlap_variance, qr_rows, similarity)
 from .masks import magnitude_ranking, mask_from_rng
-from .operators import PlantedOperator, eigh_by_magnitude
 from .sketch import blas_threads_for, draw_measurements, seigh
 
 __all__ = [
@@ -44,7 +43,9 @@ logger = logging.getLogger(__name__)
 # pair modalities: O = uniform orthonormal basis, M = uniform sparse mask
 MODALITIES = ("OO", "OM", "MM")
 
-# beyond this dimension the dense exact oracle is skipped
+# beyond this dimension the exact column is skipped for every operator; a
+# planted reference would cost only O(D k), but perfbench's overlap-sketched
+# workload (D = 20000) counts a filled exact column there as a failure
 DENSE_ORACLE_MAX_DIM = 4000
 
 
@@ -265,18 +266,17 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     """Exact and sketched mask/eigenspace overlap for k = 1 .. k_max.
 
     Per k the mask is the top-k magnitude mask of ``theta``; the exact value
-    uses the leading k eigenvectors of the operator, the sketched value the
-    rank-k truncation of one sketched eigendecomposition.  A
-    ``PlantedOperator`` gives its exact eigenvectors straight from its planted
-    basis, already ordered by nonincreasing |eigenvalue|; any other operator
-    gets a dense eigendecomposition.  The exact column is skipped with a
-    warning above ``DENSE_ORACLE_MAX_DIM``, whatever the operator.  A ``k_max``
-    past the sketch's numerical rank is refused: the top-k eigenspace is an
-    arbitrary pick from the null space there.  On a planted operator the
-    planted rank (its count of nonzero eigenvalues) is checked first, before
-    any operator application.  At a magnitude tie that straddles k the top-k
-    eigenspace is not unique either, and either oracle's pick is one valid
-    basis of it.
+    uses the leading k vectors of ``op.reference_eigenbasis(k_max)``, the
+    sketched value the rank-k truncation of one sketched eigendecomposition.
+    The exact column is skipped with a warning above
+    ``DENSE_ORACLE_MAX_DIM``, whatever the operator: perfbench's
+    overlap-sketched check expects it empty there, planted operators
+    included.  A ``k_max`` past the operator's known ``unique_rank`` is
+    refused before any operator application, and one past the sketch's
+    numerical rank after the sketch: the top-k eigenspace is an arbitrary
+    pick from the null space there.  A refused run never pays for the
+    reference.  At a magnitude tie that straddles k the top-k eigenspace is
+    not unique either, and either oracle's pick is one valid basis of it.
 
     One magnitude ranking of ``theta`` and one k_max-column eigenbasis per
     column serve every k: the top-k mask is the first k ranked indices and
@@ -289,14 +289,11 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
         raise ValueError(f"theta length {theta.size} != operator dimension {dim}")
     if not 1 <= k_max <= n_outer:
         raise ValueError(f"need 1 <= k_max <= n_outer, got k_max={k_max}")
-    planted = isinstance(op, PlantedOperator)
-    if planted:
-        rank = int(np.count_nonzero(op.eigvals))
-        if k_max > rank:
-            raise ValueError(
-                f"k_max={k_max} exceeds the planted rank {rank}; "
-                "top-k eigenspaces past the rank are not unique"
-            )
+    if op.unique_rank is not None and k_max > op.unique_rank:
+        raise ValueError(
+            f"k_max={k_max} exceeds the planted rank {op.unique_rank}; "
+            "top-k eigenspaces past the rank are not unique"
+        )
     top = magnitude_ranking(theta)[:k_max]
 
     with blas_threads_for(dim):
@@ -312,12 +309,8 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     sketched = _nested_overlaps(eigenbasis.columns[top])
 
     if dim <= DENSE_ORACLE_MAX_DIM:
-        if planted:
-            vectors, source = op.basis, "planted"
-        else:
-            matrix = op.matrix if hasattr(op, "matrix") else op.apply(np.eye(op.cols))
-            vectors, source = eigh_by_magnitude(matrix)[1], "dense"
-        exact = _nested_overlaps(vectors[top, :k_max])
+        vectors, source = op.reference_eigenbasis(k_max)
+        exact = _nested_overlaps(vectors[top])
     else:
         logger.warning(
             "dimension %d exceeds the dense-oracle cap %d; "

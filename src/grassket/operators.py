@@ -47,7 +47,12 @@ class LinearOperator:
     a general matrix, such as a non-symmetric dense store, still be wrapped
     and refused there.  Operators are immutable after construction and must
     be safe to apply concurrently on disjoint blocks.
+
+    ``unique_rank`` is the count of nonzero eigenvalues where the operator
+    knows it without a decomposition (a planted spectrum), else None.
     """
+
+    unique_rank = None
 
     def __init__(self, rows, cols, hermitian=False):
         rows, cols = int(rows), int(cols)
@@ -71,6 +76,19 @@ class LinearOperator:
         X = _check_block(X, self.cols)
         return self._apply(X)
 
+    def materialize(self):
+        """Dense rows-by-cols matrix of the operator, applied to the identity."""
+        return self.apply(np.eye(self.cols))
+
+    def reference_eigenbasis(self, k):
+        """Exact leading k eigenvectors by |eigenvalue|, and the oracle's name.
+
+        Returns ``(vectors, source)`` with ``vectors`` dim-by-k.  The default
+        is a dense eigendecomposition of :meth:`materialize` (source
+        ``"dense"``); operators that know their eigenvectors override it.
+        """
+        return eigh_by_magnitude(self.materialize())[1][:, :k], "dense"
+
 
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit matrix (the exact-oracle workhorse)."""
@@ -92,6 +110,9 @@ class DenseOperator(LinearOperator):
 
     def _apply(self, X):
         return self.matrix @ X
+
+    def materialize(self):
+        return self.matrix
 
     @classmethod
     def from_store(cls, path, hermitian=None):
@@ -153,13 +174,9 @@ class PlantedOperator(LinearOperator):
             raise ValueError("eigenvalue magnitudes must be nonincreasing")
         OrthonormalBasis(basis)  # ContractViolation unless orthonormal and finite
         super().__init__(basis.shape[0], basis.shape[0], hermitian=True)
-        self.dim = basis.shape[0]
         self.basis = basis
         self.eigvals = eigvals
-
-    @property
-    def rank(self):
-        return len(self.eigvals)
+        self.unique_rank = int(np.count_nonzero(eigvals))
 
     def _apply(self, X):
         return self.basis @ (self.eigvals[:, None] * (self.basis.T @ X))
@@ -167,6 +184,9 @@ class PlantedOperator(LinearOperator):
     def materialize(self):
         """Dense D-by-D matrix U diag(l) U^T, for oracle comparisons."""
         return self.basis @ (self.eigvals[:, None] * self.basis.T)
+
+    def reference_eigenbasis(self, k):
+        return self.basis[:, :k], "planted"
 
 
 def make_planted_operator(dim, eigvals, mask_target, alignment, seed):

@@ -282,6 +282,20 @@ def test_curve_config_records_resolved_defaults(tmp_path):
     assert (config["n_inner"], config["top_k"]) == (21, 5)
 
 
+@pytest.mark.parametrize("planted, top_k", [
+    (["--eigvals", "3,2,0"], 2),
+    (["--planted-rank", 3, "--mask-indices", "1,2,3,4,5"], 3),
+], ids=["zero-eigval", "mask-past-rank"])
+def test_curve_default_top_k_is_planted_rank(tmp_path, planted, top_k):
+    # the default counts nonzero planted eigenvalues, as the refusal does
+    out = tmp_path / "curve"
+    assert run(["curve", "--output-dir", out, "--planted-dim", 100,
+                "--n-outer", 10, *planted]) == 0
+    rows = (out / "curve.csv").read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, top_k + 1))
+    assert json.loads((out / "config.json").read_text())["top_k"] == top_k
+
+
 def test_store_create_refuses_overwrite(tmp_path):
     store_path = tmp_path / "data.store"
     run(["store", "create", "--path", store_path, "--rows", 4, "--cols", 4,

@@ -296,7 +296,7 @@ def test_overlap_curve_planted_oracle_matches_dense(monkeypatch):
     def no_dense_oracle(matrix):
         raise AssertionError("dense oracle called on a planted operator")
 
-    monkeypatch.setattr("grassket.experiments.eigh_by_magnitude", no_dense_oracle)
+    monkeypatch.setattr("grassket.operators.eigh_by_magnitude", no_dense_oracle)
     planted = overlap_curve(op, theta, n_outer, n_inner, k_max=rank, seed=16)
     assert (planted.exact_source, dense.exact_source) == ("planted", "dense")
     for p, q in zip(planted.points, dense.points):

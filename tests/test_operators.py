@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassket import operators
 from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis
 from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
@@ -177,6 +178,37 @@ def test_counting_operator():
     op.apply(np.ones((6, 2)))
     assert op.applied_columns == 6
     assert op.calls == 2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize("kind", ["planted", "dense", "diagonal", "counting"])
+def test_reference_eigenbasis_and_unique_rank(kind, monkeypatch):
+    dim, k = 12, 3
+    planted = make_planted_operator(dim, [4.0, -3.0, 2.0, 0.0], None, 0.0, seed=0)
+    matrix = planted.materialize()
+    diag = np.linspace(-2.5, 3.0, dim)
+    if kind == "planted":
+        op, expected = planted, (planted.basis[:, :k], "planted")
+        monkeypatch.setattr(operators, "eigh_by_magnitude", _refuse)
+    elif kind == "dense":
+        op = DenseOperator(matrix, hermitian=True)
+        expected = (eigh_by_magnitude(matrix)[1][:, :k], "dense")
+        monkeypatch.setattr(op, "_apply", _refuse)  # no block application
+    elif kind == "diagonal":
+        op = DiagonalOperator(diag)
+        expected = (eigh_by_magnitude(np.diag(diag))[1][:, :k], "dense")
+    else:
+        op = CountingOperator(DenseOperator(matrix, hermitian=True))
+        expected = (eigh_by_magnitude(matrix)[1][:, :k], "dense")
+    vectors, source = op.reference_eigenbasis(k)
+    assert source == expected[1]
+    assert np.array_equal(vectors, expected[0])
+    assert op.unique_rank == (3 if kind == "planted" else None)
+    if kind == "counting":
+        assert op.applied_columns == dim  # one materialize(), nothing more
 
 
 def test_magnitude_order_tie_rule():
