@@ -100,13 +100,13 @@ def _resolve_n_inner(args):
 
 def cmd_decompose(args):
     if args.dense_store is not None:
-        op = DenseOperator.from_store(args.dense_store, hermitian=True)
+        op = DenseOperator.from_store(args.dense_store)
     else:
         if args.planted_dim is None:
             raise ValueError("provide --dense-store or --planted-dim")
         op, _ = _planted_from_args(args)
     n_inner = _resolve_n_inner(args)
-    ensemble = draw_measurements(op.rows, n_inner, args.n_outer, args.seed)
+    ensemble = draw_measurements(op.dim, n_inner, args.n_outer, args.seed)
     decomposition = seigh(op, ensemble)
     out = _write_config(args)
     sketch.save_sketched_eigh(
@@ -141,7 +141,7 @@ def cmd_curve(args):
     n_inner = _resolve_n_inner(args)
     if args.top_k is None:
         args.top_k = min(args.n_outer, op.unique_rank)
-    theta = experiments.ranked_theta(op.rows, mask.indices, args.theta_seed)
+    theta = experiments.ranked_theta(op.dim, mask.indices, args.theta_seed)
     curve = experiments.overlap_curve(op, theta, args.n_outer, n_inner,
                                       args.top_k, args.seed)
     out = _write_config(args)

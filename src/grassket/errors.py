@@ -2,8 +2,9 @@
 
 
 class ContractViolation(RuntimeError):
-    """An input broke a documented contract (wrong operator flag, overlapping
-    concurrent writes, a factor that should be orthonormal but is not)."""
+    """An input broke a documented contract (a non-square or non-symmetric
+    operator matrix, overlapping concurrent writes, a factor that should be
+    orthonormal but is not)."""
 
 
 class IntegrityError(RuntimeError):

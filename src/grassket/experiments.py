@@ -181,12 +181,12 @@ class LemmaCheck(NamedTuple):
 def verify_lemma(dim, k, samples, seed):
     """Monte Carlo check that mean overlap of uniform subspace pairs is k/D.
 
-    Passes when the sample mean falls within four standard errors of k/D
-    (plus a 1e-12 absolute guard for the k = D corner, where every sample is
-    exactly 1 and the standard error is zero).  Each sample is one Haar
-    basis against the leading k coordinates (see ``_pair_sample``).  ``z`` is
-    the mean's deviation from k/D in units of the closed-form standard error
-    ``sqrt(overlap_variance(D, k) / samples)``; it is 0 at k = D.
+    Each sample is one Haar basis against the leading k coordinates (see
+    ``_pair_sample``).  ``stderr`` is the closed-form standard error
+    ``sqrt(overlap_variance(D, k) / samples)`` and ``z`` the mean's deviation
+    from k/D in its units; the check passes at |z| <= 4.  At k = D the
+    variance is zero and every sample must be exactly 1: ``z`` is 0 when the
+    mean is exactly 1 and infinite otherwise.
     """
     expected = overlap_baseline(dim, k)
     samples = int(samples)
@@ -197,11 +197,12 @@ def verify_lemma(dim, k, samples, seed):
         values = np.array([_pair_sample("OO", MetricKind.OVERLAP, rng, dim, k)
                            for _ in range(samples)])
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(samples))
-    passed = abs(mean - expected) <= 4.0 * stderr + 1e-12
-    exact_stderr = np.sqrt(overlap_variance(dim, k) / samples)
-    z = float((mean - expected) / exact_stderr) if exact_stderr > 0 else 0.0
-    return LemmaCheck(mean=mean, stderr=stderr, passed=passed, z=z)
+    stderr = float(np.sqrt(overlap_variance(dim, k) / samples))
+    if stderr > 0:
+        z = (mean - expected) / stderr
+    else:
+        z = 0.0 if mean == expected else float(np.copysign(np.inf, mean - expected))
+    return LemmaCheck(mean=mean, stderr=stderr, passed=abs(z) <= 4.0, z=z)
 
 
 def ranked_theta(dim, priority, seed):
@@ -256,10 +257,10 @@ class OverlapCurve:
                      f"exact_source={self.exact_source}\n")
             writer = csv.writer(fh)
             writer.writerow(["k", "exact", "sketched", "baseline", "ratio"])
-            for p in self.points:
+            for p, (_, ratio) in zip(self.points, overlap_ratio_report(self)):
                 exact = "" if np.isnan(p.exact) else repr(p.exact)
                 writer.writerow([p.k, exact, repr(p.sketched), repr(p.baseline),
-                                 repr(p.sketched / p.baseline)])
+                                 repr(ratio)])
 
 
 def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
@@ -283,7 +284,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     the rank-k eigenbasis the first k columns.  The sketched column runs
     under ``sketch.blas_threads_for(dim)``, on one BLAS thread at desk scale.
     """
-    dim = op.rows
+    dim = op.dim
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.size != dim:
         raise ValueError(f"theta length {theta.size} != operator dimension {dim}")
@@ -337,10 +338,7 @@ def _nested_overlaps(rows):
     return [float(np.sum(squares[:k, :k]) / k) for k in range(1, len(rows) + 1)]
 
 
-def overlap_ratio_report(curve, column="sketched"):
-    """(k, overlap/baseline) rows; the factor above chance level per k."""
-    rows = []
-    for p in curve.points:
-        value = getattr(p, column)
-        rows.append((p.k, value / p.baseline))
-    return rows
+def overlap_ratio_report(curve):
+    """(k, sketched/baseline) rows; the sketched overlap's factor above chance
+    level per k, as in the ``ratio`` column of ``OverlapCurve.write_csv``."""
+    return [(p.k, p.sketched / p.baseline) for p in curve.points]

@@ -31,7 +31,7 @@ def _check_block(X, dim):
             "(wrap single vectors as 1-column blocks)"
         )
     if X.shape[0] != dim:
-        raise ValueError(f"block has {X.shape[0]} rows, operator input dimension is {dim}")
+        raise ValueError(f"block has {X.shape[0]} rows, operator dimension is {dim}")
     if X.shape[1] < 1:
         raise ValueError("block must contain at least one column")
     if not np.all(np.isfinite(X)):
@@ -40,13 +40,12 @@ def _check_block(X, dim):
 
 
 class LinearOperator:
-    """A dimension-tagged map applying an implicit matrix to column blocks.
+    """A symmetric map of R^dim, applied to column blocks.
 
-    Subclasses implement ``_apply``.  ``hermitian`` flags a symmetric
-    operator, the only kind ``sketch.seigh`` accepts; ``rows``/``cols`` let
-    a general matrix, such as a non-symmetric dense store, still be wrapped
-    and refused there.  Operators are immutable after construction and must
-    be safe to apply concurrently on disjoint blocks.
+    Subclasses implement ``_apply``.  Every operator is symmetric, as a loss
+    Hessian is: a matrix that is not is refused where it is wrapped, so
+    nothing downstream checks again.  Operators are immutable after
+    construction and must be safe to apply concurrently on disjoint blocks.
 
     ``unique_rank`` is the count of nonzero eigenvalues where the operator
     knows it without a decomposition (a planted spectrum), else None.
@@ -54,31 +53,23 @@ class LinearOperator:
 
     unique_rank = None
 
-    def __init__(self, rows, cols, hermitian=False):
-        rows, cols = int(rows), int(cols)
-        if rows < 1 or cols < 1:
-            raise ValueError("operator dimensions must be positive")
-        if hermitian and rows != cols:
-            raise ValueError("hermitian operators must be square")
-        self.rows = rows
-        self.cols = cols
-        self.hermitian = bool(hermitian)
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
+    def __init__(self, dim):
+        dim = int(dim)
+        if dim < 1:
+            raise ValueError("operator dimension must be positive")
+        self.dim = dim
 
     def _apply(self, X):
         raise NotImplementedError
 
     def apply(self, X):
-        """Apply the operator to a cols-by-n block, returning rows-by-n."""
-        X = _check_block(X, self.cols)
+        """Apply the operator to a dim-by-n block, returning dim-by-n."""
+        X = _check_block(X, self.dim)
         return self._apply(X)
 
     def materialize(self):
-        """Dense rows-by-cols matrix of the operator, applied to the identity."""
-        return self.apply(np.eye(self.cols))
+        """Dense dim-by-dim matrix of the operator, applied to the identity."""
+        return self.apply(np.eye(self.dim))
 
     def reference_eigenbasis(self, k):
         """Exact leading k eigenvectors by |eigenvalue|, and the oracle's name.
@@ -91,21 +82,22 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by an explicit matrix (the exact-oracle workhorse)."""
+    """Operator backed by an explicit matrix (the exact-oracle workhorse).
 
-    def __init__(self, matrix, hermitian=None):
+    The matrix must be finite, square and symmetric to within
+    ``1e-12 * max(1, max|A|)`` per entry; anything else is a
+    ``ContractViolation``.
+    """
+
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-d")
         if not np.all(np.isfinite(matrix)):
             raise ContractViolation("matrix has non-finite entries")
-        if hermitian is None:
-            hermitian = matrix.shape[0] == matrix.shape[1] and np.array_equal(
-                matrix, matrix.T
-            )
-        if hermitian and not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
-            raise ContractViolation("matrix flagged hermitian is not symmetric")
-        super().__init__(matrix.shape[0], matrix.shape[1], hermitian=hermitian)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ContractViolation(f"matrix of shape {matrix.shape} is not square")
+        super().__init__(matrix.shape[0])
+        if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
+            raise ContractViolation("matrix is not symmetric")
         self.matrix = matrix
 
     def _apply(self, X):
@@ -115,21 +107,21 @@ class DenseOperator(LinearOperator):
         return self.matrix
 
     @classmethod
-    def from_store(cls, path, hermitian=None):
+    def from_store(cls, path):
         """Load a dense operator from a chunked or merged matrix store."""
         from . import storage
 
-        return cls(storage.read_matrix(path), hermitian=hermitian)
+        return cls(storage.read_matrix(path))
 
 
 class DiagonalOperator(LinearOperator):
-    """Hermitian operator multiplying each coordinate by a fixed value."""
+    """Operator multiplying each coordinate by a fixed value."""
 
     def __init__(self, diag):
         diag = np.asarray(diag, dtype=np.float64).ravel()
         if not np.all(np.isfinite(diag)):
             raise ContractViolation("diagonal has non-finite entries")
-        super().__init__(len(diag), len(diag), hermitian=True)
+        super().__init__(len(diag))
         self.diag = diag
 
     def _apply(self, X):
@@ -141,11 +133,14 @@ class CountingOperator(LinearOperator):
 
     The test seam for ``seigh``'s measurement budget: ``applied_columns``
     counts the columns applied, ``calls`` the number of block applications.
+    What the wrapped operator knows without applying itself, its
+    ``unique_rank`` and ``reference_eigenbasis``, passes through uncounted.
     """
 
     def __init__(self, op):
-        super().__init__(op.rows, op.cols, hermitian=op.hermitian)
+        super().__init__(op.dim)
         self.op = op
+        self.unique_rank = op.unique_rank
         self.applied_columns = 0
         self.calls = 0
 
@@ -153,6 +148,9 @@ class CountingOperator(LinearOperator):
         self.applied_columns += X.shape[1]
         self.calls += 1
         return self.op.apply(X)
+
+    def reference_eigenbasis(self, k):
+        return self.op.reference_eigenbasis(k)
 
 
 class PlantedOperator(LinearOperator):
@@ -173,7 +171,7 @@ class PlantedOperator(LinearOperator):
         if np.any(mags[:-1] < mags[1:]):
             raise ValueError("eigenvalue magnitudes must be nonincreasing")
         OrthonormalBasis(basis)  # ContractViolation unless orthonormal and finite
-        super().__init__(basis.shape[0], basis.shape[0], hermitian=True)
+        super().__init__(basis.shape[0])
         self.basis = basis
         self.eigvals = eigvals
         self.unique_rank = int(np.count_nonzero(eigvals))

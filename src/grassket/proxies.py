@@ -36,18 +36,12 @@ class QuadraticObjective:
     def __init__(self, H0, g0=None, c0=0.0):
         from .operators import DenseOperator
 
-        H0 = np.asarray(H0, dtype=np.float64)
-        if H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
-            raise ValueError("H0 must be square")
-        if not np.allclose(H0, H0.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(H0).max())):
-            raise ValueError("H0 must be symmetric")
-        dim = H0.shape[0]
-        g0 = np.zeros(dim) if g0 is None else np.asarray(g0, dtype=np.float64).ravel()
-        if g0.size != dim:
+        self.hessian_op = DenseOperator(H0)  # ContractViolation unless symmetric
+        self.H0 = self.hessian_op.matrix
+        self.dim = self.hessian_op.dim
+        g0 = np.zeros(self.dim) if g0 is None else np.asarray(g0, dtype=np.float64).ravel()
+        if g0.size != self.dim:
             raise ValueError("g0 length must match H0")
-        self.dim = dim
-        self.hessian_op = DenseOperator(H0, hermitian=True)
-        self.H0 = H0
         self.g0 = g0
         self.c0 = float(c0)
 
@@ -146,12 +140,10 @@ def subtrace_curve(diag, theta):
 
 def squared_hessian_diag(H, i):
     """Diagonal entry of H^2 from one block application: ||H e_i||^2."""
-    if not H.hermitian:
-        raise ValueError("squared diagonal readout requires a hermitian operator")
     i = int(i)
-    if not 0 <= i < H.cols:
-        raise ValueError(f"index {i} out of range for dimension {H.cols}")
-    e = np.zeros((H.cols, 1))
+    if not 0 <= i < H.dim:
+        raise ValueError(f"index {i} out of range for dimension {H.dim}")
+    e = np.zeros((H.dim, 1))
     e[i, 0] = 1.0
     col = H.apply(e)
     return float(np.sum(col * col))

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation
 from .grassmann import OrthonormalBasis
 from .masks import magnitude_ranking
 
@@ -253,7 +252,7 @@ def _core(upsilon, Q, M, omega):
 
 
 def seigh(A, ens):
-    """Sketched eigendecomposition of a hermitian linear operator.
+    """Sketched eigendecomposition of a symmetric linear operator.
 
     The outer sketch M_O = A @ omega_outer is orthonormalized into the range
     basis Q and recycled: together with A @ omega_inner it forms the right
@@ -266,11 +265,9 @@ def seigh(A, ens):
     permuted to match.  Those past the numerical rank of the outer sketch
     are exact zeros; the rank is returned as ``numerical_rank``.
     """
-    if not A.hermitian:
-        raise ContractViolation("seigh requires an operator flagged hermitian")
-    if ens.dim != A.rows:
+    if ens.dim != A.dim:
         raise ValueError(
-            f"ensemble dimension {ens.dim} does not match operator dimension {A.rows}"
+            f"ensemble dimension {ens.dim} does not match operator dimension {A.dim}"
         )
 
     outer_sketch = A.apply(ens.omega_outer)                   # D x n_o
@@ -313,7 +310,7 @@ def residual_probe_norms(A, dec, n_probe, seed):
     if n_probe < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((A.cols, int(n_probe)))
+    probes = rng.standard_normal((A.dim, int(n_probe)))
     residual = A.apply(probes) - dec.reconstruct(probes)
     return np.sum(residual * residual, axis=0)
 

@@ -170,7 +170,7 @@ def test_09_proxy_identities():
     obj = QuadraticObjective(H, g0=rng.standard_normal(dim))
     sam_full = [sam_feature(obj, theta, radius, dim) for radius in (0.01, 0.1, 1.0)]
     from grassket.operators import DenseOperator
-    op = DenseOperator(H, hermitian=True)
+    op = DenseOperator(H)
     squared = H @ H
     diag_dev = max(abs(squared_hessian_diag(op, i) - squared[i, i])
                    for i in range(dim))

@@ -74,26 +74,37 @@ def test_refused_run_leaves_no_output_dir(tmp_path, args):
     assert not out.exists()
 
 
-def test_decompose_dense_store_requires_symmetry(tmp_path):
+def decompose_stored_matrix(tmp_path, matrix):
     from grassket.storage import create_layout, write_columns
 
-    store = create_layout(tmp_path / "m.store", 6, 6, chunk_cols=3)
-    write_columns(store, 0, np.triu(np.ones((6, 6))))
-    code = run(["decompose", "--output-dir", tmp_path / "out",
-                "--dense-store", tmp_path / "m.store", "--n-outer", 3])
+    store = create_layout(tmp_path / "m.store", *matrix.shape, chunk_cols=3)
+    write_columns(store, 0, matrix)
+    out = tmp_path / "out"
+    code = run(["decompose", "--output-dir", out, "--dense-store", store.path,
+                "--n-outer", 3])
+    return code, out
+
+
+def test_decompose_dense_store_requires_symmetry(tmp_path, capsys):
+    code, out = decompose_stored_matrix(tmp_path, np.triu(np.ones((5, 5))))
     assert code == 2  # numerical-contract failure
+    assert "ERROR type=contract message=matrix is not symmetric" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decompose_dense_store_refuses_non_square_matrix(tmp_path, capsys):
+    code, out = decompose_stored_matrix(tmp_path, np.arange(24.0).reshape(6, 4))
+    assert code == 2  # numerical-contract failure, not a usage error
+    assert ("ERROR type=contract message=matrix of shape (6, 4) is not square"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_decompose_dense_store_refuses_non_finite_matrix(tmp_path):
-    from grassket.storage import create_layout, write_columns
-
     matrix = np.eye(12)
     matrix[4, 4] = np.inf
-    store = create_layout(tmp_path / "m.store", 12, 12, chunk_cols=5)
-    write_columns(store, 0, matrix)
-    out = tmp_path / "out"
-    assert run(["decompose", "--output-dir", out, "--dense-store", store.path,
-                "--n-outer", 3]) == 2  # numerical-contract failure
+    code, out = decompose_stored_matrix(tmp_path, matrix)
+    assert code == 2  # numerical-contract failure
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from grassket.grassmann import (MetricKind, OrthonormalBasis, metric,
                                 similarity)
 from grassket.masks import (SparseMask, mask_basis, mask_eigenspace_overlap,
                             mask_from_rng, topk_magnitude_mask)
-from grassket.operators import (DenseOperator, eigh_by_magnitude,
+from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
 from grassket.sketch import draw_measurements, seigh, truncate
 
@@ -267,8 +267,6 @@ def test_overlap_ratio_report():
     curve = OverlapCurve(points=points, operator="probe", n_outer=3, n_inner=7,
                          seed=0)
     assert all(r == pytest.approx(1.0) for _, r in overlap_ratio_report(curve))
-    assert all(r == pytest.approx(1.0)
-               for _, r in overlap_ratio_report(curve, column="exact"))
 
 
 def test_overlap_ratio_report_aligned_and_blended():
@@ -277,12 +275,12 @@ def test_overlap_ratio_report_aligned_and_blended():
     theta = ranked_theta(dim, mask.indices, seed=9)
     aligned = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 1.0, seed=10)
     curve = overlap_curve(aligned, theta, n_outer=10, n_inner=21, k_max=rank, seed=11)
-    k, ratio = overlap_ratio_report(curve, column="exact")[-1]
-    assert (k, ratio) == (rank, pytest.approx(dim / rank, abs=1e-8))
+    p = curve.points[-1]
+    assert (p.k, p.exact / p.baseline) == (rank, pytest.approx(dim / rank, abs=1e-8))
     blended = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 0.5, seed=12)
     curve = overlap_curve(blended, theta, n_outer=10, n_inner=21, k_max=rank, seed=13)
-    k, ratio = overlap_ratio_report(curve, column="exact")[-1]
-    assert 1.0 < ratio < dim / rank
+    p = curve.points[-1]
+    assert 1.0 < p.exact / p.baseline < dim / rank
 
 
 def test_overlap_curve_planted_oracle_matches_dense(monkeypatch):
@@ -290,7 +288,7 @@ def test_overlap_curve_planted_oracle_matches_dense(monkeypatch):
     mask = SparseMask(dim, np.arange(0, 2 * rank, 2))
     op = make_planted_operator(dim, np.arange(rank, 0, -1.0), mask, 0.5, seed=14)
     theta = np.random.default_rng(15).standard_normal(dim)
-    dense = overlap_curve(DenseOperator(op.materialize(), hermitian=True), theta,
+    dense = overlap_curve(DenseOperator(op.materialize()), theta,
                           n_outer, n_inner, k_max=rank, seed=16)
 
     def no_dense_oracle(matrix):
@@ -324,10 +322,24 @@ def test_overlap_curve_refuses_k_past_planted_rank(eigvals, k_max, rank):
         overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=k_max, seed=2)
 
 
+def test_overlap_curve_sees_through_counting_operator():
+    # the wrapper keeps the planted oracle and rank, and counts only the sketch
+    planted = make_planted_operator(100, [3.0, 2.0, 0.0], None, 0.0, seed=0)
+    theta = ranked_theta(100, np.arange(3), seed=1)
+    op = CountingOperator(planted)
+    curve = overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=2, seed=2)
+    assert curve.exact_source == "planted"
+    assert op.applied_columns == curve.n_inner
+    refused = CountingOperator(planted)
+    with pytest.raises(ValueError, match="k_max=3 exceeds the planted rank 2;"):
+        overlap_curve(refused, theta, n_outer=10, n_inner=21, k_max=3, seed=2)
+    assert refused.applied_columns == 0
+
+
 def test_overlap_curve_refuses_k_past_numerical_rank():
     # a dense copy of a rank-5 planted matrix skips the planted pre-check
     planted = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
-    op = DenseOperator(planted.materialize(), hermitian=True)
+    op = DenseOperator(planted.materialize())
     theta = ranked_theta(100, np.arange(5), seed=1)
     with pytest.raises(ValueError, match="k_max=8 exceeds the numerical rank 5 of the sketch;"):
         overlap_curve(op, theta, n_outer=10, n_inner=21, k_max=8, seed=2)

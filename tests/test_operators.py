@@ -166,6 +166,17 @@ def test_operators_reject_non_finite_entries(make):
         make()
 
 
+def test_dense_operator_refuses_non_symmetric_or_rectangular():
+    for matrix, message in ((np.triu(np.ones((6, 6))), "not symmetric"),
+                            (np.arange(24.0).reshape(6, 4), r"\(6, 4\) is not square")):
+        with pytest.raises(ContractViolation, match=message):
+            DenseOperator(matrix)
+    # asymmetry within 1e-12 * max(1, max|A|) per entry is rounding, not a contract break
+    near = np.full((3, 3), 1e3)
+    near[0, 1] += 1e-10
+    assert DenseOperator(near).dim == 3
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_planted_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -194,21 +205,22 @@ def test_reference_eigenbasis_and_unique_rank(kind, monkeypatch):
         op, expected = planted, (planted.basis[:, :k], "planted")
         monkeypatch.setattr(operators, "eigh_by_magnitude", _refuse)
     elif kind == "dense":
-        op = DenseOperator(matrix, hermitian=True)
+        op = DenseOperator(matrix)
         expected = (eigh_by_magnitude(matrix)[1][:, :k], "dense")
         monkeypatch.setattr(op, "_apply", _refuse)  # no block application
     elif kind == "diagonal":
         op = DiagonalOperator(diag)
         expected = (eigh_by_magnitude(np.diag(diag))[1][:, :k], "dense")
     else:
-        op = CountingOperator(DenseOperator(matrix, hermitian=True))
+        op = CountingOperator(DenseOperator(matrix))
         expected = (eigh_by_magnitude(matrix)[1][:, :k], "dense")
+        monkeypatch.setattr(op.op, "_apply", _refuse)  # the wrapped matrix is the reference
     vectors, source = op.reference_eigenbasis(k)
     assert source == expected[1]
     assert np.array_equal(vectors, expected[0])
     assert op.unique_rank == (3 if kind == "planted" else None)
     if kind == "counting":
-        assert op.applied_columns == dim  # one materialize(), nothing more
+        assert op.applied_columns == 0  # the wrapped operator's reference, uncounted
 
 
 def test_magnitude_order_tie_rule():
@@ -233,5 +245,4 @@ def test_dense_operator_from_store(tmp_path):
     store = create_layout(tmp_path / "m.store", 12, 12, chunk_cols=5)
     write_columns(store, 0, matrix)
     op = DenseOperator.from_store(store)
-    assert op.hermitian  # exact symmetry survives the bit-exact round trip
     assert np.array_equal(op.matrix, matrix)

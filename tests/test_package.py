@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grassket
 
 
@@ -25,6 +27,31 @@ def test_public_names_resolve():
             for alias in node.names:
                 assert hasattr(grassket, alias.name), alias.name
                 assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+
+
+def test_perfbench_patch_points_resolve():
+    # perfbench/spans.py patches grassket names by string; read its FUNCTIONS
+    # (name, module, attribute, amount) and METHODS (name, module.Class,
+    # method, amount) with ast so that scipy, which it imports, is not needed
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    if not spans.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    lists = {node.targets[0].id: node.value.elts
+             for node in ast.parse(spans.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+    points = [(entry.elts[1].value, entry.elts[2].value) for entry in lists["FUNCTIONS"]]
+    points += [(f"grassket.{entry.elts[1].value.id}", f"{entry.elts[1].attr}.{entry.elts[2].value}")
+               for entry in lists["METHODS"]]
+    assert lists["FUNCTIONS"] and lists["METHODS"]
+    missing = []
+    for module, path in points:
+        target = importlib.import_module(module)
+        for attr in path.split("."):
+            target = getattr(target, attr, None)
+        if target is None:
+            missing.append(f"{module}.{path}")
+    assert not missing
 
 
 def test_readme_library_example_runs(capsys):

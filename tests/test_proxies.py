@@ -107,7 +107,7 @@ def test_subtrace_curve_rejects_length_mismatch():
 def test_squared_hessian_diag():
     op = DiagonalOperator([2.0, -2.0, 4.0])
     assert squared_hessian_diag(op, 1) == 4.0
-    zero = DenseOperator(np.zeros((5, 5)), hermitian=True)
+    zero = DenseOperator(np.zeros((5, 5)))
     assert squared_hessian_diag(zero, 2) == 0.0
 
 
@@ -115,7 +115,7 @@ def test_squared_hessian_diag_matches_dense_square():
     rng = np.random.default_rng(4)
     half = rng.standard_normal((20, 20))
     H = 0.5 * (half + half.T)
-    op = DenseOperator(H, hermitian=True)
+    op = DenseOperator(H)
     squared = H @ H
     for i in range(20):
         value = squared_hessian_diag(op, i)

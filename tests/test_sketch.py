@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis, overlap
 from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator,
@@ -97,17 +96,6 @@ def test_seigh_scalar_operator():
     assert dec.eigvals == pytest.approx([3.0], abs=1e-12)
 
 
-def test_seigh_requires_hermitian_flag():
-    # a non-symmetric square matrix, and a rectangular one that is still a
-    # valid operator to wrap and apply
-    for matrix in (np.triu(np.ones((6, 6))), np.arange(24.0).reshape(6, 4)):
-        op = DenseOperator(matrix)
-        assert not op.hermitian
-        assert np.array_equal(op.apply(np.eye(op.cols)), matrix)
-        with pytest.raises(ContractViolation):
-            seigh(op, draw_measurements(6, 4, 2, seed=0))
-
-
 def test_seigh_dimension_mismatch():
     op = DiagonalOperator(np.ones(8))
     with pytest.raises(ValueError, match="does not match"):
@@ -163,7 +151,7 @@ def test_seigh_reports_numerical_rank_without_warning(caplog):
 def test_seigh_numerical_rank_full_and_zero():
     full = seigh(DiagonalOperator(np.arange(20, 0, -1.0)), draw_measurements(20, 11, 5, seed=6))
     assert full.numerical_rank == 5
-    zero = seigh(DenseOperator(np.zeros((12, 12)), hermitian=True),
+    zero = seigh(DenseOperator(np.zeros((12, 12))),
                  draw_measurements(12, 6, 3, seed=4))
     assert zero.numerical_rank == 0
     assert np.array_equal(zero.eigvals, np.zeros(3))
