@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +64,27 @@ def _write_config(args):
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    for key, value in list(resolved.items()):
-        if isinstance(value, Path):
-            resolved[key] = str(value)
     (out / "config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
     )
     return out
+
+
+def _write_table(path, header, rows, comment=None):
+    """Write a table as ASCII CSV, every line ending in LF: an optional
+    ``# key=value ...`` line from the ``comment`` dict, the header, then the
+    rows.  Floats are written with ``repr`` and NaN as an empty cell."""
+    def cell(value):
+        if isinstance(value, float):
+            return "" if np.isnan(value) else repr(float(value))  # np.float64 too
+        return str(value)
+
+    lines = [] if comment is None else [
+        "# " + " ".join(f"{key}={value}" for key, value in comment.items())]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
 def _planted_from_args(args):
@@ -113,12 +127,10 @@ def cmd_decompose(args):
         decomposition, out / "decomposition",
         metadata={"n_inner": n_inner, "n_outer": args.n_outer, "seed": args.seed},
     )
-    with open(out / "eigvals.csv", "w", encoding="ascii") as fh:
-        fh.write(f"# seed={args.seed} n_outer={args.n_outer} n_inner={n_inner} "
-                 f"numerical_rank={decomposition.numerical_rank}\n")
-        fh.write("index,eigval\n")
-        for i, value in enumerate(decomposition.eigvals):
-            fh.write(f"{i},{float(value)!r}\n")
+    _write_table(out / "eigvals.csv", ["index", "eigval"],
+                 enumerate(decomposition.eigvals),
+                 comment={"seed": args.seed, "n_outer": args.n_outer, "n_inner": n_inner,
+                          "numerical_rank": decomposition.numerical_rank})
     logger.info("decomposition written to %s", out)
     return EXIT_OK
 
@@ -131,7 +143,10 @@ def cmd_baseline(args):
         samples=args.samples, seed=args.seed,
     )
     out = _write_config(args)
-    result.write_csv(out / "baseline.csv")
+    _write_table(out / "baseline.csv",
+                 ["modality", "metric", "D", "k", "rho", "T",
+                  "median", "p5", "p95", "mean", "std"],
+                 map(astuple, result.rows), comment={"seed": result.seed})
     logger.info("baseline grid written to %s", out / "baseline.csv")
     return EXIT_OK
 
@@ -145,11 +160,14 @@ def cmd_curve(args):
     curve = experiments.overlap_curve(op, theta, args.n_outer, n_inner,
                                       args.top_k, args.seed)
     out = _write_config(args)
-    curve.write_csv(out / "curve.csv")
-    with open(out / "ratio.csv", "w", encoding="ascii") as fh:
-        fh.write("k,ratio\n")
-        for k, ratio in experiments.overlap_ratio_report(curve):
-            fh.write(f"{k},{ratio!r}\n")
+    ratios = experiments.overlap_ratio_report(curve)
+    _write_table(out / "curve.csv", ["k", "exact", "sketched", "baseline", "ratio"],
+                 [(p.k, p.exact, p.sketched, p.baseline, ratio)
+                  for p, (_, ratio) in zip(curve.points, ratios)],
+                 comment={"seed": curve.seed, "n_outer": curve.n_outer,
+                          "n_inner": curve.n_inner, "operator": curve.operator,
+                          "exact_source": curve.exact_source})
+    _write_table(out / "ratio.csv", ["k", "ratio"], ratios)
     logger.info("overlap curve written to %s", out / "curve.csv")
     return EXIT_OK
 
@@ -207,13 +225,17 @@ def build_parser():
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or grassket-out)")
         p.add_argument("--seed", type=int, default=0, help="run seed")
 
-    def add_planted(p):
-        p.add_argument("--planted-dim", type=int, default=None,
-                       help="ambient dimension of the planted operator")
-        p.add_argument("--planted-rank", type=int, default=None,
-                       help="planted rank (eigenvalues default to rank..1)")
-        p.add_argument("--eigvals", default=None,
-                       help="comma-separated planted eigenvalues (overrides rank)")
+    def add_planted(p, dim_group):
+        # only one flag of each exclusive pair can take effect, so giving
+        # both is a usage error (exit 1) rather than a silently ignored value
+        dim_group.add_argument("--planted-dim", type=int, default=None,
+                               help="ambient dimension of the planted operator")
+        spectrum = p.add_mutually_exclusive_group()
+        spectrum.add_argument("--planted-rank", type=int, default=None,
+                              help="planted rank (eigenvalues default to rank..1)")
+        spectrum.add_argument("--eigvals", default=None,
+                              help="comma-separated planted eigenvalues "
+                                   "(instead of --planted-rank)")
         p.add_argument("--planted-alignment", type=float, default=0.0,
                        help="mask/eigenspace alignment in [0, 1]")
         p.add_argument("--planted-seed", type=int, default=0,
@@ -223,9 +245,11 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="sketched eigendecomposition", parents=[])
     add_common(p)
-    add_planted(p)
-    p.add_argument("--dense-store", default=None,
-                   help="path of a stored dense symmetric matrix to decompose")
+    source = p.add_mutually_exclusive_group()
+    add_planted(p, source)
+    source.add_argument("--dense-store", default=None,
+                        help="path of a stored dense symmetric matrix to decompose "
+                             "(instead of --planted-dim)")
     p.add_argument("--n-outer", type=int, required=True,
                    help="number of outer measurements (recovered rank)")
     p.add_argument("--n-inner", type=int, default=None,
@@ -247,7 +271,7 @@ def build_parser():
 
     p = sub.add_parser("curve", help="exact vs sketched overlap curve")
     add_common(p)
-    add_planted(p)
+    add_planted(p, p)
     p.add_argument("--n-outer", type=int, required=True)
     p.add_argument("--n-inner", type=int, default=None)
     p.add_argument("--top-k", type=int, default=None,

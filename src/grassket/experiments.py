@@ -11,7 +11,6 @@ a dense eigendecomposition), sketched overlap from the truncated sketched
 eigendecomposition, and the k/D chance level.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,17 +77,6 @@ class BaselineResult:
     rows: list
     seed: int
 
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            fh.write(f"# seed={self.seed}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["modality", "metric", "D", "k", "rho", "T",
-                             "median", "p5", "p95", "mean", "std"])
-            for r in self.rows:
-                writer.writerow([r.modality, r.metric, r.dim, r.k, repr(r.rho),
-                                 r.samples, repr(r.median), repr(r.p5),
-                                 repr(r.p95), repr(r.mean), repr(r.std)])
-
     def cell(self, modality, kind, dim, rho):
         kind = kind.value if isinstance(kind, MetricKind) else kind
         for r in self.rows:
@@ -143,6 +131,8 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     modalities = [str(m) for m in modalities]
     if not dim_grid or not rho_grid or not metrics or not modalities:
         raise ValueError("all grids must be nonempty")
+    if min(dim_grid) < 1:
+        raise ValueError(f"dimension must be positive, got {min(dim_grid)}")
     for m in modalities:
         if m not in MODALITIES:
             raise ValueError(f"unknown modality {m!r}; choose from {MODALITIES}")
@@ -248,19 +238,7 @@ class OverlapCurve:
     n_outer: int
     n_inner: int
     seed: int
-    exact_source: str = "dense"
-
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            fh.write(f"# seed={self.seed} n_outer={self.n_outer} "
-                     f"n_inner={self.n_inner} operator={self.operator} "
-                     f"exact_source={self.exact_source}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["k", "exact", "sketched", "baseline", "ratio"])
-            for p, (_, ratio) in zip(self.points, overlap_ratio_report(self)):
-                exact = "" if np.isnan(p.exact) else repr(p.exact)
-                writer.writerow([p.k, exact, repr(p.sketched), repr(p.baseline),
-                                 repr(ratio)])
+    exact_source: str
 
 
 def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
@@ -340,5 +318,6 @@ def _nested_overlaps(rows):
 
 def overlap_ratio_report(curve):
     """(k, sketched/baseline) rows; the sketched overlap's factor above chance
-    level per k, as in the ``ratio`` column of ``OverlapCurve.write_csv``."""
+    level per k.  The ``curve`` command writes them as the ``ratio`` column
+    of its curve table and as its ratio table."""
     return [(p.k, p.sketched / p.baseline) for p in curve.points]

@@ -9,7 +9,7 @@ vectors are 1-column blocks.
 import numpy as np
 
 from .errors import ContractViolation
-from .grassmann import OrthonormalBasis, positive_qr, stiefel_from_rng
+from .grassmann import OrthonormalBasis, cholesky_qr2, stiefel_from_rng
 from .masks import SparseMask, magnitude_ranking
 
 __all__ = [
@@ -190,13 +190,13 @@ class PlantedOperator(LinearOperator):
 def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
     """Build a planted operator whose top eigenspace is steerable onto a mask.
 
-    The planted basis is a convex blend, re-orthonormalized, between a
-    Haar-random basis (alignment 0) and a basis supported exactly on the
-    coordinates of ``mask_target`` (alignment 1).  The supported basis is
-    rotated onto the Haar one (orthogonal Procrustes) before blending, which
-    makes the exact mask/eigenspace overlap nondecreasing in ``alignment``:
-    in the aligned frame the blend reduces to independent planar rotations,
-    one per principal angle.
+    The planted basis is a convex blend, re-orthonormalized by CholeskyQR2,
+    between a Haar-random basis (alignment 0) and a basis supported exactly
+    on the coordinates of ``mask_target`` (alignment 1).  The supported
+    basis is rotated onto the Haar one (orthogonal Procrustes) before
+    blending, which makes the exact mask/eigenspace overlap nondecreasing in
+    ``alignment``: in the aligned frame the blend reduces to independent
+    planar rotations, one per principal angle.
 
     Parameters
     ----------
@@ -231,14 +231,16 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
                 f"mask_target selects {mask_target.k} coordinates but "
                 f"{r} eigenvalues are planted"
             )
-        supported = np.zeros((dim, r))
-        supported[mask_target.indices] = stiefel_from_rng(rng, r, r).columns
+        rows = mask_target.indices
+        supported = stiefel_from_rng(rng, r, r).columns  # its rows on the mask
         # Procrustes: rotate the supported basis onto the Haar one so the
         # blend below interpolates along principal-angle planes.
-        W, _, Vt = np.linalg.svd(supported.T @ haar)
-        supported = supported @ (W @ Vt)
-        blend = (1.0 - alignment) * haar + alignment * supported
-        basis = positive_qr(blend)
+        W, _, Vt = np.linalg.svd(supported.T @ haar[rows])
+        blend = (1.0 - alignment) * haar
+        blend[rows] += alignment * (supported @ (W @ Vt))
+        # per plane it blends two unit vectors at most pi/2 apart, so its
+        # singular values are at least 1/sqrt(2) and CholeskyQR2 is safe
+        basis = cholesky_qr2(blend)
 
     return PlantedOperator(basis, eigvals)
 

@@ -61,7 +61,8 @@ DTYPE = np.dtype("<f8")
 LAYOUT = "column-major"
 MANIFEST_NAME = "manifest.json"
 MERGED_MAGIC = b"GKMX1\n"
-# keep stores well under typical open-file limits
+# bounds the chunk list that a manifest or merged header can make a reader
+# build; no code holds more than one chunk file open at a time
 MAX_CHUNKS = 1024
 
 
@@ -150,8 +151,8 @@ def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
 
     Chunk files are created at full size immediately (zero-filled, sparse
     where the filesystem allows), so concurrent writers only ever seek and
-    write inside preexisting files.  The chunk count is capped at MAX_CHUNKS
-    so downstream tools stay clear of open-file limits.
+    write inside preexisting files.  The chunk count is capped at
+    MAX_CHUNKS, the most chunks any store may list.
     """
     rows, cols, chunk_cols = int(rows), int(cols), int(chunk_cols)
     chunks = _chunk_grid(rows, cols, chunk_cols)

@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from grassket import experiments
 from grassket.cli import main
-from grassket.grassmann import overlap_variance
+from grassket.experiments import CurvePoint, OverlapCurve, run_baseline
+from grassket.grassmann import MetricKind, overlap_variance
 from grassket.storage import open_merged, open_store, read_matrix, verify_store
 
 
@@ -66,11 +68,31 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
     ["curve", "--planted-dim", 50, "--planted-rank", 5, "--n-outer", 60],
     ["curve", "--planted-dim", 100, "--planted-rank", 5, "--n-outer", 10,
      "--top-k", 8],
+    ["baseline", "--dims", "64,0"],
+    ["baseline", "--dims=-5"],
 ], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
-        "curve-top-k-above-rank"])
-def test_refused_run_leaves_no_output_dir(tmp_path, args):
+        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim"])
+def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1
+    assert "ERROR type=usage" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["curve", "--planted-dim", 100, "--planted-rank", 5, "--eigvals", "3,2",
+     "--n-outer", 6],
+    ["decompose", "--planted-dim", 100, "--planted-rank", 5,
+     "--dense-store", "m.store", "--n-outer", 6],
+], ids=["planted-rank-and-eigvals", "dense-store-and-planted-dim"])
+def test_flags_that_exclude_each_other_are_refused(tmp_path, capsys, args):
+    # only one of each pair can take effect, so config.json could not record
+    # what ran
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run(args + ["--output-dir", out])
+    assert info.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -139,6 +161,73 @@ def test_baseline_command(tmp_path):
     run(["baseline", "--output-dir", rerun, "--dims", "64",
          "--rhos", "1.0,0.25", "--samples", 10, "--seed", 4])
     assert (out / "baseline.csv").read_bytes() == (rerun / "baseline.csv").read_bytes()
+
+
+def test_baseline_csv_round_trip(tmp_path):
+    out = tmp_path / "base"
+    assert run(["baseline", "--output-dir", out, "--dims", 32, "--rhos", 0.25,
+                "--modalities", "OO", "--metrics", "overlap", "--samples", 10,
+                "--seed", 9]) == 0
+    result = run_baseline([32], [0.25], ["OO"], [MetricKind.OVERLAP],
+                          samples=10, seed=9)
+    lines = (out / "baseline.csv").read_text().splitlines()
+    assert lines[0] == "# seed=9"
+    assert lines[1] == "modality,metric,D,k,rho,T,median,p5,p95,mean,std"
+    fields = lines[2].split(",")
+    assert fields[:6] == ["OO", "overlap", "32", "8", "0.25", "10"]
+    assert float(fields[9]) == result.rows[0].mean
+
+
+def curve_table(tmp_path, monkeypatch, curve):
+    """Lines of the curve.csv that the curve command writes for ``curve``."""
+    monkeypatch.setattr(experiments, "overlap_curve", lambda *args: curve)
+    out = tmp_path / curve.exact_source
+    assert run(["curve", "--output-dir", out, "--planted-dim", 20,
+                "--planted-rank", 2, "--n-outer", 4]) == 0
+    return (out / "curve.csv").read_text().splitlines()
+
+
+def test_curve_csv_format(tmp_path, monkeypatch):
+    points = [CurvePoint(k=1, exact=0.5, sketched=0.25, baseline=0.125),
+              CurvePoint(k=2, exact=float("nan"), sketched=0.5, baseline=0.25)]
+    curve = OverlapCurve(points=points, operator="probe", n_outer=4, n_inner=9,
+                         seed=1, exact_source="skipped")
+    lines = curve_table(tmp_path, monkeypatch, curve)
+    assert lines[1] == "k,exact,sketched,baseline,ratio"
+    assert lines[2] == "1,0.5,0.25,0.125,2.0"
+    assert lines[3] == "2,,0.5,0.25,2.0"  # empty exact above the dense cap
+
+
+def test_curve_csv_records_exact_source(tmp_path, monkeypatch):
+    points = [CurvePoint(k=1, exact=0.5, sketched=0.25, baseline=0.125)]
+    for source in ("dense", "planted"):
+        curve = OverlapCurve(points=points, operator="probe", n_outer=4,
+                             n_inner=9, seed=1, exact_source=source)
+        assert curve_table(tmp_path, monkeypatch, curve)[0] == (
+            f"# seed=1 n_outer=4 n_inner=9 operator=probe exact_source={source}")
+
+
+def test_every_output_file_is_lf_terminated_ascii(tmp_path):
+    runs = {
+        "decompose": ["--planted-dim", 100, "--planted-rank", 5, "--n-outer", 8],
+        "baseline": ["--dims", 32, "--rhos", "0.5,0.25", "--samples", 5],
+        "curve": ["--planted-dim", 100, "--planted-rank", 5,
+                  "--planted-alignment", 0.5, "--n-outer", 8],
+        "verify": ["--samples", 60, "--seed", 6],
+    }
+    for command, args in runs.items():
+        assert run([command, "--output-dir", tmp_path / command, *args]) == 0
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    # the decomposition's chunk files hold raw little-endian float64 columns
+    chunks = [p for p in files if p.suffix == ".bin"]
+    assert {p.parent.parent.name for p in chunks} == {"decomposition"}
+    for path in set(files) - set(chunks):
+        data = path.read_bytes()
+        data.decode("ascii")
+        assert b"\r" not in data and data.endswith(b"\n"), path
+    curve = (tmp_path / "curve/curve.csv").read_text().splitlines()[1:]
+    ratio = (tmp_path / "curve/ratio.csv").read_text().splitlines()
+    assert [f"{row.split(',')[0]},{row.split(',')[4]}" for row in curve] == ratio
 
 
 def test_curve_command(tmp_path):

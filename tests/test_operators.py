@@ -3,7 +3,7 @@ import pytest
 
 from grassket import operators
 from grassket.errors import ContractViolation
-from grassket.grassmann import OrthonormalBasis
+from grassket.grassmann import OrthonormalBasis, positive_qr, stiefel_from_rng
 from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
 from grassket.operators import (CountingOperator, DenseOperator,
                                 DiagonalOperator, PlantedOperator,
@@ -119,6 +119,21 @@ def test_planted_alignment_monotone():
                for a in grid]
         values = [exact_topk_overlap(op, mask, 30) for op in ops]
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(grid) - 1))
+
+
+@pytest.mark.parametrize("alignment", [0.25, 0.5, 1.0])
+def test_planted_blend_is_householder_q_of_padded_blend(alignment):
+    # the D x r blend with zero rows off the mask, drawn in the same order
+    dim, r = 300, 20
+    mask = SparseMask(dim, np.arange(0, 3 * r, 3))
+    op = make_planted_operator(dim, np.arange(r, 0, -1.0), mask, alignment, seed=4)
+    rng = np.random.default_rng(4)
+    haar = stiefel_from_rng(rng, dim, r).columns
+    supported = np.zeros((dim, r))
+    supported[mask.indices] = stiefel_from_rng(rng, r, r).columns
+    W, _, Vt = np.linalg.svd(supported.T @ haar)
+    blend = (1.0 - alignment) * haar + alignment * (supported @ (W @ Vt))
+    assert np.abs(op.basis - positive_qr(blend)).max() <= 1e-13
 
 
 def test_planted_alignment_out_of_range():
