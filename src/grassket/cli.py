@@ -87,7 +87,17 @@ def _write_table(path, header, rows, comment=None):
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
+# flags that shape a planted operator; decompose --dense-store refuses them
+_PLANTED_ONLY = ("planted_rank", "eigvals", "planted_alignment", "planted_seed",
+                 "mask_indices")
+
+
 def _planted_from_args(args):
+    # resolved in place so config.json records the values the run used
+    if args.planted_alignment is None:
+        args.planted_alignment = 0.0
+    if args.planted_seed is None:
+        args.planted_seed = 0
     rank = args.planted_rank
     if args.eigvals is not None:
         eigvals = np.asarray(_float_list(args.eigvals))
@@ -114,6 +124,10 @@ def _resolve_n_inner(args):
 
 def cmd_decompose(args):
     if args.dense_store is not None:
+        given = [name for name in _PLANTED_ONLY if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--dense-store does not take {flags}")
         op = DenseOperator.from_store(args.dense_store)
     else:
         if args.planted_dim is None:
@@ -236,10 +250,11 @@ def build_parser():
         spectrum.add_argument("--eigvals", default=None,
                               help="comma-separated planted eigenvalues "
                                    "(instead of --planted-rank)")
-        p.add_argument("--planted-alignment", type=float, default=0.0,
-                       help="mask/eigenspace alignment in [0, 1]")
-        p.add_argument("--planted-seed", type=int, default=0,
-                       help="seed of the planted basis")
+        # None until resolved, so an explicit value can be told from the default
+        p.add_argument("--planted-alignment", type=float, default=None,
+                       help="mask/eigenspace alignment in [0, 1] (default 0)")
+        p.add_argument("--planted-seed", type=int, default=None,
+                       help="seed of the planted basis (default 0)")
         p.add_argument("--mask-indices", default=None,
                        help="comma-separated target mask (default: 0..rank-1)")
 

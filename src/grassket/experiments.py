@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grassmann import (MetricKind, PrincipalAngles, cross_angles, metric,
-                        overlap_baseline, overlap_variance, qr_rows, similarity)
+from .grassmann import (MetricKind, PrincipalAngles, cross_angles, haar_rows,
+                        metric, overlap_baseline, overlap_variance, similarity)
 from .masks import magnitude_ranking, mask_from_rng
 from .sketch import blas_threads_for, draw_measurements, seigh
 
@@ -89,12 +89,12 @@ def _pair_sample(modality, kind, rng, dim, k):
     """One similarity sample of a random pair of rank-k subspaces of R^dim.
 
     By rotation invariance one Haar basis against a fixed coordinate span has
-    the overlap and angle law of two independent Haar bases.  So a pair with
-    a Haar side draws one D x k Gaussian and, through one Gram product, keeps
-    only the k rows of its basis on that span: the leading k for OO, a
-    uniform mask's (drawn next) for OM.  Those rows are the cross product of
-    the basis with the span.  Mask pairs need no embedding: they share
-    |m1 & m2| zero angles and the rest are right angles.
+    the overlap and angle law of two independent Haar bases, and every k-row
+    span gives the same law.  So OO and OM pairs both take the k x k cross
+    product of a Haar basis with the leading k coordinates from
+    ``grassmann.haar_rows``, which draws O(k^2) numbers in place of a D x k
+    Gaussian.  Mask pairs need no embedding: they share |m1 & m2| zero
+    angles and the rest are right angles.
     """
     if k == dim:
         # every pair spans the whole space: overlap exactly 1, zero angles
@@ -107,9 +107,7 @@ def _pair_sample(modality, kind, rng, dim, k):
             return shared / k
         angles = PrincipalAngles(np.repeat([0.0, np.pi / 2], [shared, k - shared]))
     else:
-        gaussian = rng.standard_normal((dim, k))
-        rows = np.arange(k) if modality == "OO" else mask_from_rng(rng, dim, k).indices
-        cross = qr_rows(gaussian, rows)
+        cross = haar_rows(rng, dim, k)
         if kind is MetricKind.OVERLAP:
             return float(np.sum(cross * cross) / k)
         angles = cross_angles(cross)
@@ -122,8 +120,9 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     Every (D, rho, metric, modality) cell draws its own ``samples``
     independent pairs from a dedicated child stream of ``seed``, so cells are
     independent jobs and the whole result is reproducible bit for bit.  A
-    pair with a Haar side costs one D x k Gaussian and one Gram product (see
-    ``_pair_sample``); cells run under ``sketch.blas_threads_for(D)``.
+    pair with a Haar side costs O(k^2) random numbers and the Gram product
+    of a stand-in of at most 2k rows (see ``_pair_sample``); cells run under
+    ``sketch.blas_threads_for(D)``.
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
@@ -171,8 +170,9 @@ class LemmaCheck(NamedTuple):
 def verify_lemma(dim, k, samples, seed):
     """Monte Carlo check that mean overlap of uniform subspace pairs is k/D.
 
-    Each sample is one Haar basis against the leading k coordinates (see
-    ``_pair_sample``).  ``stderr`` is the closed-form standard error
+    Each sample is the overlap of one Haar basis with the leading k
+    coordinates, read from ``grassmann.haar_rows`` (see ``_pair_sample``).
+    ``stderr`` is the closed-form standard error
     ``sqrt(overlap_variance(D, k) / samples)`` and ``z`` the mean's deviation
     from k/D in its units; the check passes at |z| <= 4.  At k = D the
     variance is zero and every sample must be exactly 1: ``z`` is 0 when the

@@ -8,7 +8,9 @@ Q1^T Q2.  Each distance comes with its analytic maximum, which normalizes it
 into a [0, 1] similarity; the overlap similarity needs no normalization and
 has the closed-form chance level k/D for uniformly random subspaces.  Uniform
 (Haar) bases come from one sampler, the CholeskyQR2 factor of a Gaussian
-matrix; ``qr_rows`` reads k rows of such a basis off one Gram product.
+matrix; ``qr_rows`` reads k rows of such a basis off one Gram product, and
+``haar_rows`` gives k rows of a D x k one from a stand-in of at most 2k rows
+whose Gram is drawn through its Bartlett factor.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ __all__ = [
     "cross_angles",
     "cholesky_qr2",
     "qr_rows",
+    "haar_rows",
     "sample_stiefel",
     "overlap_baseline",
     "overlap_variance",
@@ -322,6 +325,30 @@ def qr_rows(matrix, rows):
     if rinv is None or not _gram_condition(gram, rinv) <= ONE_PASS_MAX_COND:
         return cholesky_qr2(matrix)[rows]
     return matrix[rows] @ rinv
+
+
+def haar_rows(rng, dim, k):
+    """The leading k rows of a Haar-uniform dim x k basis, from O(k^2) numbers.
+
+    For a dim x k Gaussian G those rows are G[:k] R^-1, where R^T R is the
+    Gram of G.  That Gram is G[:k]^T G[:k] plus the Gram of the other dim - k
+    rows, a Wishart(dim - k, I_k) matrix, so the rows depend on the other
+    rows only through it.  Its Bartlett factor (Bartlett 1933), the R of a
+    (dim - k) x k Gaussian, has independent entries: sqrt(chi-square(dim - k
+    - i)) at (i, i) and N(0, 1) above the diagonal.  The stand-in stacks k
+    iid Gaussian rows on the first m = min(k, dim - k) rows of that factor,
+    trapezoidal when dim - k < k, and ``qr_rows`` reads its first k rows:
+    their law is that of G[:k] R^-1.
+    """
+    if not 1 <= k <= dim:
+        raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    m = min(k, dim - k)
+    standin = np.zeros((k + m, k))
+    standin[:k] = rng.standard_normal((k, k))
+    factor = standin[k:]
+    factor[np.triu_indices(m, 1, k)] = rng.standard_normal(m * k - m * (m + 1) // 2)
+    factor[np.diag_indices(m)] = np.sqrt(rng.chisquare(dim - k - np.arange(m)))
+    return qr_rows(standin, np.arange(k))
 
 
 def stiefel_from_rng(rng, dim, k):

@@ -32,6 +32,7 @@ above.  The merged header holds the same fields minus
 """
 
 import json
+import os
 import shutil
 import threading
 from dataclasses import dataclass, field
@@ -174,8 +175,16 @@ def create_layout(path, rows, cols, chunk_cols, metadata=None, overwrite=False):
 
 
 def _write_manifest(store):
+    """Write the manifest to a temp file in the store and move it into place,
+    so a crash mid-write leaves the previous manifest whole."""
     text = json.dumps(store.manifest_dict(), indent=2, sort_keys=True)
-    (store.path / MANIFEST_NAME).write_text(text + "\n", encoding="utf-8")
+    temp = store.path / (MANIFEST_NAME + ".tmp")
+    temp.write_text(text + "\n", encoding="utf-8")
+    try:
+        os.replace(temp, store.path / MANIFEST_NAME)
+    except OSError:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _int_field(mapping, key):

@@ -130,6 +130,25 @@ def test_decompose_dense_store_refuses_non_finite_matrix(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--planted-rank", 5), ("--eigvals", "3,2"), ("--planted-alignment", 0.0),
+    ("--planted-seed", 0), ("--mask-indices", "0,1"),
+])
+def test_decompose_dense_store_refuses_planted_flags(tmp_path, capsys, flag, value):
+    # a stored matrix ignores them, so config.json would record values that
+    # never ran; an explicit default value is refused too
+    from grassket.storage import create_layout, write_columns
+
+    store = create_layout(tmp_path / "m.store", 6, 6, chunk_cols=3)
+    write_columns(store, 0, np.eye(6))
+    out = tmp_path / "out"
+    assert run(["decompose", "--output-dir", out, "--dense-store", store.path,
+                "--n-outer", 2, flag, value]) == 1
+    assert (f"ERROR type=usage message=--dense-store does not take {flag}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_decompose_dense_store(tmp_path):
     from grassket.storage import create_layout, write_columns
 
@@ -380,6 +399,7 @@ def test_curve_config_records_resolved_defaults(tmp_path):
                 "--planted-rank", 5, "--n-outer", 10]) == 0
     config = json.loads((out / "config.json").read_text())
     assert (config["n_inner"], config["top_k"]) == (21, 5)
+    assert (config["planted_alignment"], config["planted_seed"]) == (0.0, 0)
 
 
 @pytest.mark.parametrize("planted, top_k", [

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from grassket import experiments
+from grassket import experiments, grassmann
 from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
                                   OverlapCurve, overlap_curve,
                                   overlap_ratio_report, ranked_theta, rho_to_k,
                                   run_baseline, verify_lemma)
-from grassket.grassmann import (MetricKind, OrthonormalBasis, metric,
+from grassket.grassmann import (MetricKind, OrthonormalBasis, haar_rows, metric,
                                 overlap, overlap_variance, principal_angles,
                                 similarity)
 from grassket.masks import (SparseMask, mask_basis, mask_eigenspace_overlap,
@@ -114,6 +114,78 @@ def test_one_draw_samples_follow_the_chance_law(modality, variance):
     assert abs(cell.mean - k / dim) <= 4.0 * np.sqrt(variance / samples)
     low, high = chi2_band(samples - 1)
     assert low <= cell.std**2 / variance <= high
+
+
+@pytest.mark.parametrize("dim, k", [(24, 20), (40, 13)], ids=["k>D-k", "k<D-k"])
+def test_haar_rows_follow_the_chance_law(dim, k):
+    # at k > D - k the Bartlett factor under the k read rows is trapezoidal
+    samples = 4000
+    rng = np.random.default_rng(43)
+    values = np.array([np.sum(haar_rows(rng, dim, k) ** 2) / k for _ in range(samples)])
+    variance = overlap_variance(dim, k)
+    assert abs(values.mean() - k / dim) <= 4.0 * np.sqrt(variance / samples)
+    low, high = chi2_band(samples - 1)
+    assert low <= np.var(values, ddof=1) / variance <= high
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 24, 100])
+def test_haar_rows_one_short_of_full_dimension(dim):
+    # a one-row Bartlett factor: the k x k block of an orthonormal basis with
+    # one row left out has k - 1 unit singular values and one in [0, 1]
+    k = dim - 1
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        cross = haar_rows(rng, dim, k)
+        assert cross.shape == (k, k) and np.all(np.isfinite(cross))
+        svals = np.linalg.svd(cross, compute_uv=False)
+        assert np.all(svals <= 1.0 + 1e-12)
+        assert np.all(svals[:-1] >= 1.0 - 1e-12)
+        assert k - 1 - 1e-12 <= np.sum(cross * cross) <= k + 1e-12
+
+
+class _SpyGenerator:
+    """A Generator that records how many numbers each draw returns."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.sizes = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+        return draw
+
+
+def test_haar_side_pairs_never_draw_the_dimension(monkeypatch):
+    # a pair with a Haar side costs O(k^2) numbers and a stand-in of at most
+    # 2k rows, however large D is; a D x k Gaussian here would be 20 k^2
+    dim, k = 2048, 102
+    generators, stand_in_rows = [], []
+    real_qr_rows, real_default_rng = grassmann.qr_rows, np.random.default_rng
+
+    def spy_qr_rows(matrix, rows):
+        stand_in_rows.append(len(matrix))
+        return real_qr_rows(matrix, rows)
+
+    def spy_default_rng(seed):
+        generators.append(_SpyGenerator(real_default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(grassmann, "qr_rows", spy_qr_rows)
+    for modality in ("OO", "OM"):
+        generators.append(_SpyGenerator(real_default_rng(7)))
+        experiments._pair_sample(modality, MetricKind.GEODESIC, generators[-1], dim, k)
+    monkeypatch.setattr(np.random, "default_rng", spy_default_rng)
+    verify_lemma(dim, k, samples=30, seed=7)
+
+    sizes = [size for generator in generators for size in generator.sizes]
+    assert len(generators) == 3 and all(g.sizes for g in generators)
+    assert max(sizes) <= 2 * k * k
+    assert len(stand_in_rows) == 32 and max(stand_in_rows) <= 2 * k
 
 
 def test_mask_pairs_match_the_dense_embedding_exactly():

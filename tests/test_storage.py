@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from grassket import storage
 from grassket.cli import main
 from grassket.errors import ContractViolation, IntegrityError
 from grassket.storage import (create_layout, fill_gaussian, merge, open_merged,
@@ -84,8 +85,6 @@ def test_write_validation(tmp_path):
 
 
 def test_overlapping_inflight_writes_detected(tmp_path):
-    from grassket import storage
-
     store = create_layout(tmp_path / "s.store", 4, 8, chunk_cols=4)
     storage._claim_range(store, 0, 3)
     try:
@@ -173,6 +172,24 @@ def test_manifest_ignores_unknown_fields(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     reopened = open_store(store.path)
     assert (reopened.rows, reopened.cols) == (4, 4)
+
+
+def test_manifest_is_replaced_whole(tmp_path, monkeypatch):
+    store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2,
+                          metadata={"note": "first"})
+    files = sorted(p.name for p in store.path.iterdir())
+
+    def crash(src, dst):
+        raise OSError("crashed before the rename")
+
+    monkeypatch.setattr(storage.os, "replace", crash)
+    with pytest.raises(OSError, match="crashed before the rename"):
+        fill_gaussian(store, seed=5)
+    assert open_store(store.path).metadata == {"note": "first"}
+    monkeypatch.undo()
+    fill_gaussian(store, seed=5)
+    assert open_store(store.path).metadata["fill_seed"] == 5
+    assert sorted(p.name for p in store.path.iterdir()) == files
 
 
 def test_verify_store_reports_problems(tmp_path):
