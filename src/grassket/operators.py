@@ -81,22 +81,44 @@ class LinearOperator:
         return eigh_by_magnitude(self.materialize())[1][:, :k], "dense"
 
 
+_SYMMETRY_TILE = 128  # tile width of DenseOperator's symmetry check
+
+
+def _symmetric_within(matrix, tol):
+    """Whether |A_ij - A_ji| <= tol for every i, j of a finite square matrix.
+
+    Walks the tile pairs (i, j), j >= i, and stops at the first that fails;
+    no temporary is larger than one tile.
+    """
+    dim, b = matrix.shape[0], _SYMMETRY_TILE
+    for i in range(0, dim, b):
+        for j in range(i, dim, b):
+            if np.abs(matrix[i:i + b, j:j + b] - matrix[j:j + b, i:i + b].T).max() > tol:
+                return False
+    return True
+
+
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit matrix (the exact-oracle workhorse).
 
     The matrix must be finite, square and symmetric to within
     ``1e-12 * max(1, max|A|)`` per entry; anything else is a
-    ``ContractViolation``.
+    ``ContractViolation``.  The check is one ``max`` and one ``min`` (which
+    give both finiteness and the scale) and one pass over pairs of
+    cache-sized tiles, with no dim-by-dim temporary.  A float64 matrix is
+    kept as given, not copied.
     """
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
-        if not np.all(np.isfinite(matrix)):
+        # max and min propagate NaN and reach +-inf, so they see every non-finite entry
+        top, bottom = (matrix.max(), matrix.min()) if matrix.size else (0.0, 0.0)
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise ContractViolation("matrix has non-finite entries")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ContractViolation(f"matrix of shape {matrix.shape} is not square")
         super().__init__(matrix.shape[0])
-        if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
+        if not _symmetric_within(matrix, 1e-12 * max(1.0, top, -bottom)):
             raise ContractViolation("matrix is not symmetric")
         self.matrix = matrix
 

@@ -65,6 +65,7 @@ MERGED_MAGIC = b"GKMX1\n"
 # bounds the chunk list that a manifest or merged header can make a reader
 # build; no code holds more than one chunk file open at a time
 MAX_CHUNKS = 1024
+_COPY_TILE = 128  # tile width of write_columns' column-major copy
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,31 @@ def _release_range(store, start, stop):
         store._inflight.discard((start, stop))
 
 
+def _column_rows(piece):
+    """The piece's columns as the rows of a C-contiguous w-by-rows array.
+
+    Its buffer is the piece's column-major bytes.  An F-contiguous piece is
+    only viewed.  Any other is transposed in tiles of at most
+    ``_COPY_TILE ** 2`` elements, so that both sides of the copy stay in
+    cache; a whole-piece copy reads one side with a stride of a full row.
+    """
+    if piece.flags.f_contiguous and piece.dtype == DTYPE:
+        return piece.T
+    rows, width = piece.shape
+    cols = min(width, _COPY_TILE)
+    band = _COPY_TILE * _COPY_TILE // cols
+    out = np.empty((width, rows), dtype=DTYPE)
+    for j in range(0, width, cols):
+        for i in range(0, rows, band):
+            out[j:j + cols, i:i + band] = piece[i:i + band, j:j + cols].T
+    return out
+
+
 def write_columns(store, col_start, block):
     """Persist a rows-by-w block at columns [col_start, col_start + w).
 
+    Each chunk's piece is written from one column-major buffer: the block's
+    own memory when it is F-contiguous float64, else one tiled copy.
     Disjoint ranges may be written concurrently from multiple workers;
     overlapping in-flight ranges raise ContractViolation.
     """
@@ -315,11 +338,10 @@ def write_columns(store, col_start, block):
     _claim_range(store, col_start, col_start + width)
     try:
         for spec, lo, hi, position in pieces:
-            piece = np.asfortranarray(block[:, lo - col_start:hi - col_start],
-                                      dtype=DTYPE)
+            columns = _column_rows(block[:, lo - col_start:hi - col_start])
             with open(store.chunk_path(spec), "r+b") as fh:
                 fh.seek(position)
-                fh.write(piece.tobytes(order="F"))
+                fh.write(columns.data)
     finally:
         _release_range(store, col_start, col_start + width)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,77 @@ def test_dense_operator_refuses_non_symmetric_or_rectangular():
     near = np.full((3, 3), 1e3)
     near[0, 1] += 1e-10
     assert DenseOperator(near).dim == 3
+
+
+def _symmetric(rng, dim, order="C"):
+    half = rng.standard_normal((dim, dim))
+    return np.asarray(half + half.T, order=order)
+
+
+@pytest.mark.parametrize("entry", [(299, 7), (7, 299)])
+def test_dense_symmetry_check_reaches_the_ragged_tile(entry):
+    matrix = _symmetric(np.random.default_rng(0), 300)  # 300 = 2 * 128 + 44
+    matrix[entry] += 1e-6
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        DenseOperator(matrix)
+
+
+@pytest.mark.parametrize("peak", [1e3, -1e3, 0.5])
+def test_dense_symmetry_tolerance_is_inclusive(peak):
+    # the scale is max(1, max|A|), whichever sign the largest entry has
+    matrix = _symmetric(np.random.default_rng(1), 300) * 1e-3
+    matrix[0, 0] = peak
+    tol = 1e-12 * max(1.0, abs(peak))
+    matrix[5, 250], matrix[250, 5] = 0.0, tol  # asymmetry exactly on the boundary
+    assert DenseOperator(matrix).dim == 300
+    matrix[250, 5] = np.nextafter(tol, np.inf)
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        DenseOperator(matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (299, 7), (130, 131)])
+def test_dense_non_finite_is_refused_before_asymmetry(bad, entry):
+    matrix = np.triu(np.ones((300, 300)))  # not symmetric either
+    matrix[entry] = bad
+    with pytest.raises(ContractViolation, match="non-finite"):
+        DenseOperator(matrix)
+
+
+def test_dense_check_agrees_with_allclose_in_either_memory_order():
+    # the reference is the whole-matrix check that the tiled pass replaced
+    rng = np.random.default_rng(2)
+    for _ in range(60):
+        dim = int(rng.integers(1, 300))
+        matrix = _symmetric(rng, dim) * 10.0 ** rng.uniform(-15, 15)
+        tol = 1e-12 * max(1.0, np.abs(matrix).max())
+        i, j = rng.integers(0, dim, 2)
+        matrix[i, j] = matrix[j, i] + tol * rng.choice([0.5, 1.0, 1.5, -1.0])
+        expected = np.allclose(matrix, matrix.T, rtol=0.0, atol=tol)
+        for order in "CF":
+            try:
+                DenseOperator(np.asarray(matrix, order=order))
+            except ContractViolation:
+                assert not expected
+            else:
+                assert expected
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_dense_operator_keeps_a_float64_matrix(order):
+    matrix = _symmetric(np.random.default_rng(4), 40, order)
+    assert DenseOperator(matrix).matrix is matrix
+
+
+def test_dense_check_allocates_no_full_size_temporary():
+    matrix = _symmetric(np.random.default_rng(5), 1024)
+    tracemalloc.start()
+    try:
+        DenseOperator(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

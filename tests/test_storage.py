@@ -54,6 +54,27 @@ def test_round_trip_preserves_every_bit(tmp_path):
     assert back.tobytes() == data.astype("<f8").tobytes()  # signed zeros included
 
 
+@pytest.mark.parametrize("case", ["c-order", "f-order", "column-slice", "float32", "two-chunks"])
+def test_written_bytes_are_the_column_major_block(tmp_path, case):
+    # 300 rows and 100 or 200 columns leave ragged copy tiles on both axes
+    wide = tricky_matrix(np.random.default_rng(8), 300, 200)
+    block = {"c-order": np.ascontiguousarray(wide[:, :100]),
+             "f-order": np.asfortranarray(wide[:, :100]),
+             "column-slice": wide[:, 1::2],
+             "float32": wide[:, :100].astype(np.float32),
+             "two-chunks": wide}[case]
+    expected = block.astype("<f8").tobytes("F")
+    store = create_layout(tmp_path / "s.store", 300, block.shape[1], chunk_cols=128)
+    assert len(store.chunks) == (2 if case == "two-chunks" else 1)
+    write_columns(store, 0, block)
+    on_disk = b"".join((store.path / spec.file).read_bytes() for spec in store.chunks)
+    assert on_disk == expected
+    merged = merge(store, tmp_path / "s.mx")
+    assert merged.path.read_bytes()[merged.data_offset:] == expected
+    for source in (store, merged):
+        assert read_matrix(source).tobytes("F") == expected
+
+
 def test_partial_writes_and_reads(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 10))
