@@ -31,6 +31,7 @@ __all__ = [
     "overlap",
     "cross_angles",
     "cholesky_qr2",
+    "gram_qr",
     "qr_rows",
     "haar_rows",
     "sample_stiefel",
@@ -286,14 +287,26 @@ def cholesky_qr2(matrix):
     Householder QR gives the columns instead.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
+    q = gram_qr(matrix)
+    return positive_qr(matrix) if q is None else q
+
+
+def gram_qr(matrix):
+    """CholeskyQR2's Q factor of a float64 matrix, or None where it must fall back.
+
+    None where the Gram is not numerically positive definite, or where the
+    first pass leaves Q further than ||Q^T Q - I||_F = 1/2 from orthonormal.
+    The first pass's deviation grows like eps * cond(matrix)^2, so an
+    accepted matrix has cond(matrix) below about 1e8 and full column rank.
+    """
     rinv = _inverse_cholesky_factor(matrix.T @ matrix)
     if rinv is None:
-        return positive_qr(matrix)
+        return None
     first = matrix @ rinv
     gram = first.T @ first
     # inverted comparison so a non-finite first pass falls back too
     if not np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-        return positive_qr(matrix)
+        return None
     # a Gram within 1/2 of I has its eigenvalues in [1/2, 3/2]
     return first @ _inverse_cholesky_factor(gram)
 

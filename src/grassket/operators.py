@@ -93,7 +93,10 @@ def _symmetric_within(matrix, tol):
     dim, b = matrix.shape[0], _SYMMETRY_TILE
     for i in range(0, dim, b):
         for j in range(i, dim, b):
-            if np.abs(matrix[i:i + b, j:j + b] - matrix[j:j + b, i:i + b].T).max() > tol:
+            # a difference that overflows is inf > tol, still a refusal
+            with np.errstate(over="ignore"):
+                difference = matrix[i:i + b, j:j + b] - matrix[j:j + b, i:i + b].T
+            if np.abs(difference).max() > tol:
                 return False
     return True
 

@@ -15,13 +15,17 @@ U and Lambda.
 ``seigh`` accesses the operator only through block application, so it runs
 unchanged on implicit operators of any size; all remaining work happens on
 thin (D x n_outer) or small (n_inner x n_inner) matrices.  The range basis
-comes from a Householder QR of the outer sketch, as in the range finder of
-Halko, Martinsson & Tropp (SIAM Review 2011); the singular values of its
-small R factor give the numerical rank, which ``seigh`` reports as a field.
+of the outer sketch, as in the range finder of Halko, Martinsson & Tropp
+(SIAM Review 2011), comes from CholeskyQR2 (Fukaya et al. 2014), two passes
+of Gram products and triangular solves.  Where its Gram certificate fails
+(rank-deficient or badly conditioned sketches) a Householder QR gives the
+basis instead, and the singular values of its small R factor give the
+numerical rank, which ``seigh`` reports as a field.
 """
 
 import ctypes
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -29,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grassmann import OrthonormalBasis
+from .grassmann import OrthonormalBasis, gram_qr
 from .masks import magnitude_ranking
 
 __all__ = [
@@ -52,11 +56,14 @@ logger = logging.getLogger(__name__)
 # trailing spectral values are reported as exact zeros
 DEGENERATE_COL_RTOL = 1e-14
 
-# at or below this dimension overlap_curve runs its sketch on one BLAS thread:
-# OpenBLAS threads the unblocked Householder QR of the thin sketch column by
-# column, which for D x 80 on a 2-vCPU x86-64 takes 19 ms against 11 ms on one
-# thread at D=2000 (58 against 66 ms at D=8000), and its idle worker keeps
-# spinning on the second core between calls
+# at or below this dimension run_baseline, verify_lemma and overlap_curve run
+# on one BLAS thread.  The chance-level cells multiply stand-ins of at most 2k
+# rows, too small for OpenBLAS threading to pay: on a 2-vCPU x86-64 a
+# run_baseline grid at D=2048, k=102 takes 25-40 ms on one thread against
+# 30-43 ms threaded, and an idle worker keeps spinning on the second core
+# between calls.  The sketch's CholeskyQR2 range basis no longer gains from
+# one thread: at D=2000 x 80 it takes 4.1 ms on one thread against 2.0 ms
+# threaded, and a whole overlap_curve job 44-54 ms against 36-44 ms.
 ONE_THREAD_MAX_DIM = 4000
 
 
@@ -73,9 +80,13 @@ class MeasurementEnsemble:
     ``omega_full`` (dim x n_inner).  The leading n_inner - n_outer columns of
     ``omega_full`` (``omega_inner``) and its trailing n_outer columns
     (``omega_outer``) are views; the three blocks come from mutually
-    independent streams of one seed.  ``seigh`` orthonormalizes
-    A @ omega_outer into its range basis and recycles that sketch into the
-    inner block, so the operator is applied to n_inner columns in total.
+    independent streams of one seed.  A worker thread fills ``upsilon`` from
+    stream 0 while the calling thread fills ``omega_full`` from streams 1
+    and 2; each stream keeps its own generator and fill order, so the
+    matrices are the same bit for bit as a serial draw.  ``seigh``
+    orthonormalizes A @ omega_outer into its range basis and recycles that
+    sketch into the inner block, so the operator is applied to n_inner
+    columns in total.
     """
 
     seed: int
@@ -98,10 +109,15 @@ class MeasurementEnsemble:
         streams = [np.random.default_rng(c)
                    for c in np.random.SeedSequence(self.seed).spawn(3)]
         split = self.n_inner - self.n_outer
-        self.upsilon = streams[0].standard_normal((self.dim, self.n_inner))
+        self.upsilon = np.empty((self.dim, self.n_inner))
         self.omega_full = np.empty((self.dim, self.n_inner))
-        self.omega_full[:, :split] = streams[1].standard_normal((self.dim, split))
-        self.omega_full[:, split:] = streams[2].standard_normal((self.dim, self.n_outer))
+        # the generators release the GIL while they fill; result() re-raises
+        # a failed fill instead of leaving upsilon uninitialised
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            upsilon = pool.submit(streams[0].standard_normal, out=self.upsilon)
+            self.omega_full[:, :split] = streams[1].standard_normal((self.dim, split))
+            self.omega_full[:, split:] = streams[2].standard_normal((self.dim, self.n_outer))
+            upsilon.result()
 
     @property
     def omega_inner(self):
@@ -213,12 +229,18 @@ def blas_threads_for(dim):
 def _orthonormal_range(M):
     """Orthonormal basis for the column span of a sketch block, and its rank.
 
-    Householder QR gives Q; the singular values of the small square R are
-    those of M, so the directions below DEGENERATE_COL_RTOL * ||M||_F (zero
-    operator, rank-deficient sketches) are counted from them.  Q is already
-    a deterministic orthonormal completion for those directions, so it is
-    not rotated; callers zero the trailing spectral values instead.
+    CholeskyQR2 (``grassmann.gram_qr``) gives Q when its Gram certificate
+    holds.  That bounds cond(M) by about 1e8, so every singular value of M
+    lies far above DEGENERATE_COL_RTOL * ||M||_F and the rank is n_outer.
+    Otherwise Householder QR gives Q; the singular values of the small square
+    R are those of M, so the directions below DEGENERATE_COL_RTOL * ||M||_F
+    (zero operator, rank-deficient sketches) are counted from them.  Q is
+    already a deterministic orthonormal completion for those directions, so
+    it is not rotated; callers zero the trailing spectral values instead.
     """
+    Q = gram_qr(M)
+    if Q is not None:
+        return Q, M.shape[1]
     Q, R = np.linalg.qr(M)
     singvals = np.linalg.svd(R, compute_uv=False)
     threshold = DEGENERATE_COL_RTOL * np.linalg.norm(M)

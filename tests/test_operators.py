@@ -220,6 +220,15 @@ def test_dense_symmetry_tolerance_is_inclusive(peak):
         DenseOperator(matrix)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [[[1e308, -1e308], [1e308, 1.0]],
+                                    [[1e308, 1e308], [-1e308, 1.0]]])
+def test_dense_symmetry_overflow_is_a_refusal_without_warning(matrix):
+    # A_ij - A_ji overflows to inf, which is past any tolerance
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        DenseOperator(np.array(matrix))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (299, 7), (130, 131)])
 def test_dense_non_finite_is_refused_before_asymmetry(bad, entry):

@@ -8,7 +8,8 @@ from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator,
                                 DiagonalOperator, eigh_by_magnitude,
                                 make_planted_operator)
-from grassket.sketch import (ONE_THREAD_MAX_DIM, SketchedEigh, _openblas_thread_setter,
+from grassket.sketch import (DEGENERATE_COL_RTOL, ONE_THREAD_MAX_DIM, SketchedEigh,
+                             _openblas_thread_setter,
                              blas_threads_for, draw_measurements, load_sketched_eigh,
                              residual_probe_norms, save_sketched_eigh, seigh,
                              truncate)
@@ -40,15 +41,19 @@ def test_measurements_shapes_and_validation():
         draw_measurements(4, 9, 2, seed=0)  # n_inner > dim
 
 
-def test_omega_full_holds_both_streams_as_views():
-    ens = draw_measurements(16, 9, 4, seed=3)
-    assert np.shares_memory(ens.omega_outer, ens.omega_full)
-    assert np.shares_memory(ens.omega_inner, ens.omega_full)
-    # stream 1 fills the leading inner columns, stream 2 the trailing outer ones
-    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(5)]
-    assert np.array_equal(ens.upsilon, streams[0].standard_normal((16, 9)))
-    assert np.array_equal(ens.omega_full[:, :5], streams[1].standard_normal((16, 5)))
-    assert np.array_equal(ens.omega_full[:, 5:], streams[2].standard_normal((16, 4)))
+@pytest.mark.parametrize("dim,n_inner,n_outer,seed", [
+    (16, 9, 4, 3), (16, 5, 5, 4), (9, 9, 2, 5), (3000, 201, 100, 6)])
+def test_omega_full_holds_both_streams_as_views(dim, n_inner, n_outer, seed):
+    ens = draw_measurements(dim, n_inner, n_outer, seed=seed)
+    assert ens.omega_outer.base is ens.omega_full
+    assert ens.omega_inner.base is ens.omega_full
+    # the concurrent draw equals the serial one: stream 0 fills upsilon,
+    # stream 1 the leading inner columns, stream 2 the trailing outer ones
+    split = n_inner - n_outer
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
+    assert np.array_equal(ens.upsilon, streams[0].standard_normal((dim, n_inner)))
+    assert np.array_equal(ens.omega_inner, streams[1].standard_normal((dim, split)))
+    assert np.array_equal(ens.omega_outer, streams[2].standard_normal((dim, n_outer)))
 
 
 def test_measurements_entrywise_mean():
@@ -156,6 +161,37 @@ def test_seigh_numerical_rank_full_and_zero():
     assert zero.numerical_rank == 0
     assert np.array_equal(zero.eigvals, np.zeros(3))
     assert np.abs(zero.Q.T @ zero.Q - np.eye(3)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("make,n_outer,falls_back", [
+    (lambda: make_planted_operator(200, 0.8 ** np.arange(60), None, 0.0, seed=1), 30, False),
+    (lambda: make_planted_operator(300, np.arange(40, 0, -1.0), None, 0.0, seed=2), 40, False),
+    (lambda: make_planted_operator(200, 0.9 ** np.arange(5), None, 0.0, seed=3), 12, True),
+    (lambda: make_planted_operator(150, np.arange(20, 0, -1.0), None, 0.0, seed=4), 25, True),
+    (lambda: DenseOperator(np.zeros((40, 40))), 8, True),
+    # an exact-rank sketch with condition number near 1e11: full numerical rank
+    (lambda: DiagonalOperator(np.concatenate([np.logspace(0, -11, 30), np.zeros(90)])),
+     30, True),
+], ids=["decaying", "flat", "rank-5", "rank-20", "zero", "cond-1e11"])
+def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer, falls_back):
+    # the fallback is the only Householder QR seigh runs
+    op = make()
+    ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer)
+    sketch = op.apply(ens.omega_outer)
+    singvals = np.linalg.svd(np.linalg.qr(sketch, mode="r"), compute_uv=False)
+    expected = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(sketch)))
+    calls = []
+    householder = np.linalg.qr
+
+    def spy(m, *args, **kwargs):
+        calls.append(m.shape)
+        return householder(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    dec = seigh(op, ens)
+    assert dec.numerical_rank == expected
+    assert calls == ([(op.dim, n_outer)] if falls_back else [])
+    assert np.abs(dec.Q.T @ dec.Q - np.eye(n_outer)).max() <= 1e-13
 
 
 def test_small_sketches_run_on_one_blas_thread():
