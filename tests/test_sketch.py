@@ -41,9 +41,20 @@ def test_measurements_shapes_and_validation():
         draw_measurements(4, 9, 2, seed=0)  # n_inner > dim
 
 
+def test_omega_full_holds_both_streams_as_views():
+    ens = draw_measurements(16, 9, 4, seed=3)
+    assert np.shares_memory(ens.omega_outer, ens.omega_full)
+    assert np.shares_memory(ens.omega_inner, ens.omega_full)
+    # stream 1 fills the leading inner columns, stream 2 the trailing outer ones
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(5)]
+    assert np.array_equal(ens.upsilon, streams[0].standard_normal((16, 9)))
+    assert np.array_equal(ens.omega_full[:, :5], streams[1].standard_normal((16, 5)))
+    assert np.array_equal(ens.omega_full[:, 5:], streams[2].standard_normal((16, 4)))
+
+
 @pytest.mark.parametrize("dim,n_inner,n_outer,seed", [
     (16, 9, 4, 3), (16, 5, 5, 4), (9, 9, 2, 5), (3000, 201, 100, 6)])
-def test_omega_full_holds_both_streams_as_views(dim, n_inner, n_outer, seed):
+def test_concurrent_draw_matches_serial_streams(dim, n_inner, n_outer, seed):
     ens = draw_measurements(dim, n_inner, n_outer, seed=seed)
     assert ens.omega_outer.base is ens.omega_full
     assert ens.omega_inner.base is ens.omega_full
