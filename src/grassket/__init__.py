@@ -12,9 +12,8 @@ from .grassmann import (MetricKind, OrthonormalBasis, PrincipalAngles, metric,
 from .masks import (SparseMask, hamming, iou, mask_basis,
                     mask_eigenspace_overlap, sample_mask, sparsity_kappa,
                     topk_magnitude_mask)
-from .operators import (CountingOperator, DenseOperator, DiagonalOperator,
-                        LinearOperator, PlantedOperator, eigh_by_magnitude,
-                        make_planted_operator)
+from .operators import (CountingOperator, DenseOperator, LinearOperator,
+                        PlantedOperator, eigh_by_magnitude, make_planted_operator)
 from .proxies import (QuadraticObjective, masked_perturbation_expectation,
                       psd_subtrace, sam_feature, squared_hessian_diag)
 from .sketch import (MeasurementEnsemble, SketchedEigh, draw_measurements,

@@ -166,6 +166,8 @@ def cmd_baseline(args):
 
 
 def cmd_curve(args):
+    if args.planted_dim is None:
+        raise ValueError("curve needs --planted-dim")
     op, mask = _planted_from_args(args)
     n_inner = _resolve_n_inner(args)
     if args.top_k is None:

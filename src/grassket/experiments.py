@@ -11,8 +11,11 @@ a dense eigendecomposition), sketched overlap from the truncated sketched
 eigendecomposition, and the k/D chance level.
 """
 
+import ctypes
 import logging
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .grassmann import (MetricKind, PrincipalAngles, cross_angles, haar_rows,
                         metric, overlap_baseline, overlap_variance, similarity)
 from .masks import magnitude_ranking, mask_from_rng
-from .sketch import blas_threads_for, draw_measurements, seigh
+from .sketch import draw_measurements, seigh
 
 __all__ = [
     "MODALITIES",
@@ -46,6 +49,13 @@ MODALITIES = ("OO", "OM", "MM")
 # planted reference would cost only O(D k), but perfbench's overlap-sketched
 # workload (D = 20000) counts a filled exact column there as a failure
 DENSE_ORACLE_MAX_DIM = 4000
+
+# chance-level cells with k at or below this draw their samples on one BLAS
+# thread.  Their products take stand-ins of at most 2k x k whatever D is, too
+# small for OpenBLAS threading to pay, and an idle worker keeps spinning on a
+# second core between calls.  On a 2-vCPU x86-64, one thread won at k <= 256
+# for D = 2048, 8192 and 20000, tied at k = 300-350 and lost from k = 410
+ONE_THREAD_MAX_K = 256
 
 
 def rho_to_k(dim, rho):
@@ -114,6 +124,42 @@ def _pair_sample(modality, kind, rng, dim, k):
     return similarity(kind, metric(kind, angles), k)
 
 
+@cache
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, or None.
+
+    It sets the BLAS thread count of the calling thread only and returns the
+    count it replaces; other BLAS builds, and OpenBLAS before 0.3.27, lack it.
+    """
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            setter = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+def _sample_pairs(modality, kind, rng, dim, k, samples):
+    """``samples`` draws of ``_pair_sample`` as an array.
+
+    The calling thread runs them on one BLAS thread while k <=
+    ``ONE_THREAD_MAX_K`` and numpy's OpenBLAS has a per-thread setting; its
+    thread count is restored afterwards, also on an exception.
+    """
+    setter = _openblas_thread_setter() if k <= ONE_THREAD_MAX_K else None
+    previous = setter(1) if setter is not None else None
+    try:
+        return np.array([_pair_sample(modality, kind, rng, dim, k)
+                         for _ in range(samples)])
+    finally:
+        if setter is not None:
+            setter(previous)
+
+
 def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     """Sample similarity distributions over the requested grid.
 
@@ -121,8 +167,8 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     independent pairs from a dedicated child stream of ``seed``, so cells are
     independent jobs and the whole result is reproducible bit for bit.  A
     pair with a Haar side costs O(k^2) random numbers and the Gram product
-    of a stand-in of at most 2k rows (see ``_pair_sample``); cells run under
-    ``sketch.blas_threads_for(D)``.
+    of a stand-in of at most 2k rows (see ``_pair_sample``); cells sample
+    through ``_sample_pairs``.
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
@@ -148,9 +194,7 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     for (dim, rho, kind, modality), stream in zip(cells, streams):
         rng = np.random.default_rng(stream)
         k = rho_to_k(dim, rho)
-        with blas_threads_for(dim):
-            values = np.array([_pair_sample(modality, kind, rng, dim, k)
-                               for _ in range(samples)])
+        values = _sample_pairs(modality, kind, rng, dim, k, samples)
         p5, median, p95 = np.percentile(values, [5.0, 50.0, 95.0])
         rows.append(BaselineRow(
             modality=modality, metric=kind.value, dim=dim, k=k, rho=rho,
@@ -171,7 +215,7 @@ def verify_lemma(dim, k, samples, seed):
     """Monte Carlo check that mean overlap of uniform subspace pairs is k/D.
 
     Each sample is the overlap of one Haar basis with the leading k
-    coordinates, read from ``grassmann.haar_rows`` (see ``_pair_sample``).
+    coordinates, read from ``grassmann.haar_rows`` through ``_sample_pairs``.
     ``stderr`` is the closed-form standard error
     ``sqrt(overlap_variance(D, k) / samples)`` and ``z`` the mean's deviation
     from k/D in its units; the check passes at |z| <= 4.  At k = D the
@@ -183,9 +227,7 @@ def verify_lemma(dim, k, samples, seed):
     if samples < 30:
         raise ValueError("need at least 30 samples for a meaningful standard error")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    with blas_threads_for(dim):
-        values = np.array([_pair_sample("OO", MetricKind.OVERLAP, rng, dim, k)
-                           for _ in range(samples)])
+    values = _sample_pairs("OO", MetricKind.OVERLAP, rng, dim, k, samples)
     mean = float(np.mean(values))
     stderr = float(np.sqrt(overlap_variance(dim, k) / samples))
     if stderr > 0:
@@ -259,8 +301,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
 
     One magnitude ranking of ``theta`` and one k_max-column eigenbasis per
     column serve every k: the top-k mask is the first k ranked indices and
-    the rank-k eigenbasis the first k columns.  The sketched column runs
-    under ``sketch.blas_threads_for(dim)``, on one BLAS thread at desk scale.
+    the rank-k eigenbasis the first k columns.
     """
     dim = op.dim
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -275,10 +316,8 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
         )
     top = magnitude_ranking(theta)[:k_max]
 
-    with blas_threads_for(dim):
-        ensemble = draw_measurements(dim, n_inner, n_outer, seed)
-        decomposition = seigh(op, ensemble)
-        eigenbasis = decomposition.eigenbasis(k_max)
+    decomposition = seigh(op, draw_measurements(dim, n_inner, n_outer, seed))
+    eigenbasis = decomposition.eigenbasis(k_max)
     if k_max > decomposition.numerical_rank:
         raise ValueError(
             f"k_max={k_max} exceeds the numerical rank "

@@ -15,7 +15,6 @@ from .masks import SparseMask, magnitude_ranking
 __all__ = [
     "LinearOperator",
     "DenseOperator",
-    "DiagonalOperator",
     "PlantedOperator",
     "CountingOperator",
     "make_planted_operator",
@@ -137,20 +136,6 @@ class DenseOperator(LinearOperator):
         from . import storage
 
         return cls(storage.read_matrix(path))
-
-
-class DiagonalOperator(LinearOperator):
-    """Operator multiplying each coordinate by a fixed value."""
-
-    def __init__(self, diag):
-        diag = np.asarray(diag, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(diag)):
-            raise ContractViolation("diagonal has non-finite entries")
-        super().__init__(len(diag))
-        self.diag = diag
-
-    def _apply(self, X):
-        return self.diag[:, None] * X
 
 
 class CountingOperator(LinearOperator):

@@ -23,12 +23,9 @@ basis instead, and the singular values of its small R factor give the
 numerical rank, which ``seigh`` reports as a field.
 """
 
-import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +42,6 @@ __all__ = [
     "residual_probe_norms",
     "save_sketched_eigh",
     "load_sketched_eigh",
-    "blas_threads_for",
 ]
 
 logger = logging.getLogger(__name__)
@@ -55,16 +51,6 @@ logger = logging.getLogger(__name__)
 # basis keeps deterministic orthonormal completions for them and the matching
 # trailing spectral values are reported as exact zeros
 DEGENERATE_COL_RTOL = 1e-14
-
-# at or below this dimension run_baseline, verify_lemma and overlap_curve run
-# on one BLAS thread.  The chance-level cells multiply stand-ins of at most 2k
-# rows, too small for OpenBLAS threading to pay: on a 2-vCPU x86-64 a
-# run_baseline grid at D=2048, k=102 takes 25-40 ms on one thread against
-# 30-43 ms threaded, and an idle worker keeps spinning on the second core
-# between calls.  The sketch's CholeskyQR2 range basis no longer gains from
-# one thread: at D=2000 x 80 it takes 4.1 ms on one thread against 2.0 ms
-# threaded, and a whole overlap_curve job 44-54 ms against 36-44 ms.
-ONE_THREAD_MAX_DIM = 4000
 
 
 def default_inner_count(n_outer):
@@ -189,41 +175,6 @@ class SketchedEigh:
     def dense(self):
         scaled = self.U * self.eigvals
         return self.Q @ (scaled @ self.U.T) @ self.Q.T
-
-
-@cache
-def _openblas_thread_setter():
-    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, or None.
-
-    It sets the BLAS thread count of the calling thread only and returns the
-    count it replaces; other BLAS builds, and OpenBLAS before 0.3.27, lack it.
-    """
-    package = Path(np.__file__).parent
-    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
-                       *package.glob(".dylibs/*openblas*")]):
-        try:
-            setter = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-@contextmanager
-def blas_threads_for(dim):
-    """One BLAS thread for the calling thread while dim <= ONE_THREAD_MAX_DIM.
-
-    The thread count is restored on exit; above the cap, or without a
-    per-thread setter, BLAS keeps its default.
-    """
-    setter = _openblas_thread_setter() if dim <= ONE_THREAD_MAX_DIM else None
-    previous = setter(1) if setter is not None else None
-    try:
-        yield
-    finally:
-        if setter is not None:
-            setter(previous)
 
 
 def _orthonormal_range(M):

@@ -417,7 +417,8 @@ def verify_store(source):
     """Integrity check of either store form; returns a list of problem descriptions.
 
     Past the structural checks, a store whose metadata records a seeded
-    Gaussian fill is regenerated chunk by chunk and compared bit for bit.
+    Gaussian fill is regenerated chunk by chunk and compared bit for bit.  A
+    recorded seed that is not a non-negative integer is one problem.
     """
     try:
         handle = open_any(source)
@@ -425,7 +426,9 @@ def verify_store(source):
         seed = handle.metadata.get("fill_seed")
         if issues or handle.metadata.get("fill") != "gaussian" or seed is None:
             return issues
-        rng = np.random.default_rng(int(seed))
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            return [f"metadata fill_seed {seed!r} is not a non-negative integer"]
+        rng = np.random.default_rng(seed)
         for spec in handle.chunks:
             expected = rng.standard_normal((handle.rows, spec.width))
             if not np.array_equal(read_columns(handle, spec.col_start, spec.width), expected):

@@ -62,20 +62,25 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
     assert "planted eigenvalues must be finite, got [nan, 1.0]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["decompose", "--planted-dim", 50, "--eigvals", "nan,1", "--n-outer", 5],
-    ["baseline", "--metrics", "bogus"],
-    ["curve", "--planted-dim", 50, "--planted-rank", 5, "--n-outer", 60],
-    ["curve", "--planted-dim", 100, "--planted-rank", 5, "--n-outer", 10,
-     "--top-k", 8],
-    ["baseline", "--dims", "64,0"],
-    ["baseline", "--dims=-5"],
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "--planted-dim", 50, "--eigvals", "nan,1", "--n-outer", 5],
+     "planted eigenvalues must be finite"),
+    (["baseline", "--metrics", "bogus"], "'bogus' is not a valid MetricKind"),
+    (["curve", "--planted-dim", 50, "--planted-rank", 5, "--n-outer", 60],
+     "exceeds operator dimension 50"),
+    (["curve", "--planted-dim", 100, "--planted-rank", 5, "--n-outer", 10,
+      "--top-k", 8], "exceeds the planted rank 5"),
+    (["baseline", "--dims", "64,0"], "dimension must be positive"),
+    (["baseline", "--dims=-5"], "dimension must be positive"),
+    (["curve", "--planted-rank", 5, "--n-outer", 10], "--planted-dim"),
 ], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
-        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim"])
-def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args):
+        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim",
+        "curve-without-planted-dim"])
+def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1
-    assert "ERROR type=usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ERROR type=usage" in err and message in err
     assert not out.exists()
 
 

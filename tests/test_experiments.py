@@ -227,6 +227,51 @@ def test_verify_lemma_needs_enough_samples():
         verify_lemma(64, 4, samples=10, seed=0)
 
 
+def test_blas_threads_pinned_by_cell_k(monkeypatch):
+    setter = experiments._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy links no OpenBLAS with a per-thread setting")
+
+    def threads():
+        count = setter(1)
+        setter(count)
+        return count
+
+    seen = []
+    pair_sample, sketch_eigh = experiments._pair_sample, experiments.seigh
+
+    def pair_spy(modality, kind, rng, dim, k):
+        seen.append((k, threads()))
+        return pair_sample(modality, kind, rng, dim, k)
+
+    def seigh_spy(op, ensemble):
+        seen.append(("seigh", threads()))
+        return sketch_eigh(op, ensemble)
+
+    monkeypatch.setattr(experiments, "_pair_sample", pair_spy)
+    monkeypatch.setattr(experiments, "seigh", seigh_spy)
+    before = threads()
+    cap = experiments.ONE_THREAD_MAX_K
+    run_baseline([2048], [0.05], ["OO"], [MetricKind.OVERLAP], samples=2, seed=0)
+    verify_lemma(2048, 102, samples=30, seed=0)
+    run_baseline([2 * (cap + 1)], [0.5], ["OO"], [MetricKind.OVERLAP], samples=2, seed=0)
+    op = make_planted_operator(300, np.arange(20, 0, -1.0), None, 0.0, seed=1)
+    overlap_curve(op, ranked_theta(300, np.arange(20), seed=2), 20, 41, 5, seed=3)
+    assert seen == [(102, 1)] * 32 + [(cap + 1, before)] * 2 + [("seigh", before)]
+    assert threads() == before
+
+    def failing(modality, kind, rng, dim, k):
+        seen.append((k, threads()))
+        raise RuntimeError
+
+    seen.clear()
+    monkeypatch.setattr(experiments, "_pair_sample", failing)
+    with pytest.raises(RuntimeError):
+        verify_lemma(2048, 102, samples=30, seed=0)
+    assert seen == [(102, 1)]
+    assert threads() == before
+
+
 def test_ranked_theta_controls_magnitude_ranking():
     priority = np.array([5, 2, 9, 0])
     theta = ranked_theta(12, priority, seed=4)

@@ -7,8 +7,7 @@ from grassket import operators
 from grassket.errors import ContractViolation
 from grassket.grassmann import OrthonormalBasis, positive_qr, stiefel_from_rng
 from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
-from grassket.operators import (CountingOperator, DenseOperator,
-                                DiagonalOperator, PlantedOperator,
+from grassket.operators import (CountingOperator, DenseOperator, PlantedOperator,
                                 eigh_by_magnitude, make_planted_operator)
 
 
@@ -20,14 +19,14 @@ def exact_topk_overlap(op, mask, k):
 
 
 def test_identity_maps_basis_vector():
-    op = DiagonalOperator(np.ones(4))
+    op = DenseOperator(np.diag(np.ones(4)))
     e2 = np.zeros((4, 1))
     e2[2, 0] = 1.0
     assert np.array_equal(op.apply(e2), e2)
 
 
 def test_diagonal_action():
-    op = DiagonalOperator([2.0, -2.0, 4.0])
+    op = DenseOperator(np.diag([2.0, -2.0, 4.0]))
     out = op.apply(np.ones((3, 1)))
     assert np.array_equal(out[:, 0], [2.0, -2.0, 4.0])
 
@@ -41,7 +40,7 @@ def test_planted_apply_matches_dense_oracle():
 
 
 def test_apply_block_validation():
-    op = DiagonalOperator(np.ones(4))
+    op = DenseOperator(np.diag(np.ones(4)))
     with pytest.raises(ValueError):
         op.apply(np.ones((5, 2)))
     with pytest.raises(ValueError):
@@ -58,7 +57,7 @@ def test_hermitian_symmetry_on_probes(seed):
     mask = SparseMask(30, np.arange(5))
     ops = [
         make_planted_operator(30, [9.0, -7.0, 5.0, 2.0, 1.0], mask, 0.5, seed=seed),
-        DiagonalOperator(rng.standard_normal(30)),
+        DenseOperator(np.diag(rng.standard_normal(30))),
     ]
     for op in ops:
         for _ in range(20):
@@ -175,9 +174,8 @@ def test_planted_rejects_non_finite_basis():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: DiagonalOperator([1.0, np.nan]),
     lambda: DenseOperator(np.diag([1.0, np.inf])),
-], ids=["diagonal", "dense"])
+], ids=["dense"])
 def test_operators_reject_non_finite_entries(make):
     with pytest.raises(ContractViolation):
         make()
@@ -281,7 +279,7 @@ def test_planted_rejects_non_finite_eigenvalues(bad):
 
 
 def test_counting_operator():
-    op = CountingOperator(DiagonalOperator(np.ones(6)))
+    op = CountingOperator(DenseOperator(np.diag(np.ones(6))))
     op.apply(np.ones((6, 4)))
     op.apply(np.ones((6, 2)))
     assert op.applied_columns == 6
@@ -306,7 +304,7 @@ def test_reference_eigenbasis_and_unique_rank(kind, monkeypatch):
         expected = (eigh_by_magnitude(matrix)[1][:, :k], "dense")
         monkeypatch.setattr(op, "_apply", _refuse)  # no block application
     elif kind == "diagonal":
-        op = DiagonalOperator(diag)
+        op = DenseOperator(np.diag(diag))
         expected = (eigh_by_magnitude(np.diag(diag))[1][:, :k], "dense")
     else:
         op = CountingOperator(DenseOperator(matrix))

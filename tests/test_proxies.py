@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassket.masks import SparseMask, sample_mask
-from grassket.operators import DenseOperator, DiagonalOperator
+from grassket.operators import DenseOperator
 from grassket.proxies import (QuadraticObjective,
                               masked_perturbation_expectation, psd_subtrace,
                               sam_deltas, sam_feature, squared_hessian_diag,
@@ -105,7 +105,7 @@ def test_subtrace_curve_rejects_length_mismatch():
 
 
 def test_squared_hessian_diag():
-    op = DiagonalOperator([2.0, -2.0, 4.0])
+    op = DenseOperator(np.diag([2.0, -2.0, 4.0]))
     assert squared_hessian_diag(op, 1) == 4.0
     zero = DenseOperator(np.zeros((5, 5)))
     assert squared_hessian_diag(zero, 2) == 0.0

@@ -5,14 +5,11 @@ import pytest
 
 from grassket.grassmann import OrthonormalBasis, overlap
 from grassket.masks import SparseMask
-from grassket.operators import (CountingOperator, DenseOperator,
-                                DiagonalOperator, eigh_by_magnitude,
+from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
-from grassket.sketch import (DEGENERATE_COL_RTOL, ONE_THREAD_MAX_DIM, SketchedEigh,
-                             _openblas_thread_setter,
-                             blas_threads_for, draw_measurements, load_sketched_eigh,
-                             residual_probe_norms, save_sketched_eigh, seigh,
-                             truncate)
+from grassket.sketch import (DEGENERATE_COL_RTOL, SketchedEigh, draw_measurements,
+                             load_sketched_eigh, residual_probe_norms,
+                             save_sketched_eigh, seigh, truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +83,7 @@ def test_measurements_column_norms_concentrate():
 
 def test_seigh_rank_deficient_diagonal():
     diag = np.concatenate([np.arange(10, 0, -1.0), np.zeros(90)])
-    op = DiagonalOperator(diag)
+    op = DenseOperator(np.diag(diag))
     dec = seigh(op, draw_measurements(100, 31, 15, seed=3))
     assert np.abs(dec.eigvals[:10] - diag[:10]).max() <= 1e-8 * 10
     exact = np.zeros((100, 10))
@@ -113,7 +110,7 @@ def test_seigh_scalar_operator():
 
 
 def test_seigh_dimension_mismatch():
-    op = DiagonalOperator(np.ones(8))
+    op = DenseOperator(np.diag(np.ones(8)))
     with pytest.raises(ValueError, match="does not match"):
         seigh(op, draw_measurements(10, 5, 2, seed=0))
 
@@ -165,7 +162,8 @@ def test_seigh_reports_numerical_rank_without_warning(caplog):
 
 
 def test_seigh_numerical_rank_full_and_zero():
-    full = seigh(DiagonalOperator(np.arange(20, 0, -1.0)), draw_measurements(20, 11, 5, seed=6))
+    full = seigh(DenseOperator(np.diag(np.arange(20, 0, -1.0))),
+                 draw_measurements(20, 11, 5, seed=6))
     assert full.numerical_rank == 5
     zero = seigh(DenseOperator(np.zeros((12, 12))),
                  draw_measurements(12, 6, 3, seed=4))
@@ -181,7 +179,7 @@ def test_seigh_numerical_rank_full_and_zero():
     (lambda: make_planted_operator(150, np.arange(20, 0, -1.0), None, 0.0, seed=4), 25, True),
     (lambda: DenseOperator(np.zeros((40, 40))), 8, True),
     # an exact-rank sketch with condition number near 1e11: full numerical rank
-    (lambda: DiagonalOperator(np.concatenate([np.logspace(0, -11, 30), np.zeros(90)])),
+    (lambda: DenseOperator(np.diag(np.concatenate([np.logspace(0, -11, 30), np.zeros(90)]))),
      30, True),
 ], ids=["decaying", "flat", "rank-5", "rank-20", "zero", "cond-1e11"])
 def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer, falls_back):
@@ -205,43 +203,12 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
     assert np.abs(dec.Q.T @ dec.Q - np.eye(n_outer)).max() <= 1e-13
 
 
-def test_small_sketches_run_on_one_blas_thread():
-    setter = _openblas_thread_setter()
-    if setter is None:
-        pytest.skip("numpy links no OpenBLAS with a per-thread setting")
-
-    def threads():
-        count = setter(1)
-        setter(count)
-        return count
-
-    before = threads()
-    with blas_threads_for(ONE_THREAD_MAX_DIM):
-        assert threads() == 1
-    assert threads() == before
-    with blas_threads_for(ONE_THREAD_MAX_DIM + 1):
-        assert threads() == before
-    with pytest.raises(RuntimeError), blas_threads_for(10):
-        raise RuntimeError
-    assert threads() == before
-
-
-def test_seigh_on_one_blas_thread_matches_default():
-    op = make_planted_operator(300, np.arange(20, 0, -1.0), None, 0.0, seed=1)
-    ens = draw_measurements(300, 41, 20, seed=3)
-    with blas_threads_for(300):
-        single = seigh(op, ens)
-    default = seigh(op, ens)
-    assert single.numerical_rank == default.numerical_rank == 20
-    assert np.allclose(single.eigvals, default.eigvals, rtol=0, atol=1e-12 * 20)
-
-
 # ---------------------------------------------------------------------------
 # truncation
 
 
 def test_truncate_full_rank_is_identity():
-    op = DiagonalOperator(np.arange(20, 0, -1.0))
+    op = DenseOperator(np.diag(np.arange(20, 0, -1.0)))
     dec = seigh(op, draw_measurements(20, 11, 5, seed=6))
     full = truncate(dec, 5)
     assert np.array_equal(full.eigvals, dec.eigvals)
@@ -260,7 +227,7 @@ def test_truncate_exact_rank_reconstruction():
 def test_truncate_to_single_eigenpair():
     # exact-rank setting, so the leading eigenpair is recovered sharply
     diag = np.concatenate([np.arange(10, 0, -1.0), np.zeros(90)])
-    op = DiagonalOperator(diag)
+    op = DenseOperator(np.diag(diag))
     dec = truncate(seigh(op, draw_measurements(100, 31, 15, seed=9)), 1)
     assert dec.eigvals == pytest.approx([10.0], rel=1e-8)
     vec = dec.eigenbasis().columns[:, 0]
@@ -275,7 +242,7 @@ def test_truncate_caps_numerical_rank():
 
 
 def test_truncate_range_check():
-    op = DiagonalOperator(np.arange(8, 0, -1.0))
+    op = DenseOperator(np.diag(np.arange(8, 0, -1.0)))
     dec = seigh(op, draw_measurements(8, 7, 3, seed=1))
     with pytest.raises(ValueError):
         truncate(dec, 0)
@@ -296,7 +263,7 @@ def test_residual_small_when_fully_captured():
 
 
 def test_residual_of_zero_reconstruction_matches_frobenius_norm():
-    op = DiagonalOperator(np.ones(2))
+    op = DenseOperator(np.diag(np.ones(2)))
     zero_dec = SketchedEigh(Q=np.eye(2), U=np.eye(2), eigvals=np.zeros(2))
     norms = residual_probe_norms(op, zero_dec, n_probe=4000, seed=5)
     mean = norms.mean()
@@ -305,7 +272,7 @@ def test_residual_of_zero_reconstruction_matches_frobenius_norm():
 
 
 def test_residual_invariant_under_basis_rotation():
-    op = DiagonalOperator(np.arange(6, 0, -1.0))
+    op = DenseOperator(np.diag(np.arange(6, 0, -1.0)))
     dec = seigh(op, draw_measurements(6, 5, 2, seed=6))
     rng = np.random.default_rng(7)
     Z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -317,7 +284,7 @@ def test_residual_invariant_under_basis_rotation():
 
 def test_residual_monotone_in_outer_count():
     diag = np.arange(1, 301, dtype=np.float64) ** -1.0
-    op = DiagonalOperator(diag)
+    op = DenseOperator(np.diag(diag))
     k = 10
     previous = None
     for n_outer in (k + 5, 2 * k, 4 * k):
@@ -339,7 +306,7 @@ def test_residual_monotone_in_outer_count():
 
 
 def test_save_load_round_trip(tmp_path):
-    op = DiagonalOperator(np.arange(12, 0, -1.0))
+    op = DenseOperator(np.diag(np.arange(12, 0, -1.0)))
     dec = seigh(op, draw_measurements(12, 9, 4, seed=0))
     save_sketched_eigh(dec, tmp_path / "dec", metadata={"n_inner": 9, "n_outer": 4,
                                                         "seed": 0})

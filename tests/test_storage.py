@@ -248,6 +248,20 @@ def test_verify_store_checks_merged_seeded_fill(tmp_path):
     assert verify_store(merged) == ["content mismatch in columns [4, 8)"]
 
 
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5, True])
+def test_verify_store_reports_bad_fill_seed(tmp_path, capsys, seed):
+    store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2)
+    fill_gaussian(store, seed=1)
+    manifest_path = store.path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["metadata"]["fill_seed"] = seed
+    manifest_path.write_text(json.dumps(manifest))
+    issues = verify_store(store.path)
+    assert len(issues) == 1 and "fill_seed" in issues[0]
+    assert main(["store", "verify", "--path", str(store.path)]) == 1
+    assert capsys.readouterr().out == f"[FAIL] {issues[0]}\n"
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda m: "{not json",
     lambda m: json.dumps({k: v for k, v in m.items() if k != "chunks"}),
