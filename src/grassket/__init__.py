@@ -19,4 +19,4 @@ from .proxies import (QuadraticObjective, masked_perturbation_expectation,
 from .sketch import (MeasurementEnsemble, SketchedEigh, draw_measurements,
                      seigh, truncate)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -165,10 +165,11 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
 
     Every (D, rho, metric, modality) cell draws its own ``samples``
     independent pairs from a dedicated child stream of ``seed``, so cells are
-    independent jobs and the whole result is reproducible bit for bit.  A
-    pair with a Haar side costs O(k^2) random numbers and the Gram product
-    of a stand-in of at most 2k rows (see ``_pair_sample``); cells sample
-    through ``_sample_pairs``.
+    independent jobs.  The result is reproducible bit for bit at a fixed BLAS
+    thread count: cells with k > ``ONE_THREAD_MAX_K`` run at default threads
+    (see ``_sample_pairs``), and their Gram products round differently on one
+    thread and on two.  A pair with a Haar side costs O(k^2) random numbers
+    and the Gram product of a stand-in of at most 2k rows (``_pair_sample``).
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
@@ -289,7 +290,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     Per k the mask is the top-k magnitude mask of ``theta``; the exact value
     uses the leading k vectors of ``op.reference_eigenbasis(k_max)``, the
     sketched value the rank-k truncation of one sketched eigendecomposition.
-    The exact column is skipped with a warning above
+    The exact column is skipped, logged at INFO, above
     ``DENSE_ORACLE_MAX_DIM``, whatever the operator: perfbench's
     overlap-sketched check expects it empty there, planted operators
     included.  A ``k_max`` past the operator's known ``unique_rank`` is
@@ -330,7 +331,7 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
         vectors, source = op.reference_eigenbasis(k_max)
         exact = _nested_overlaps(vectors[top])
     else:
-        logger.warning(
+        logger.info(
             "dimension %d exceeds the dense-oracle cap %d; "
             "exact overlap column will be empty", dim, DENSE_ORACLE_MAX_DIM,
         )

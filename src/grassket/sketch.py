@@ -13,18 +13,18 @@ least-squares solves, and the eigendecomposition of its symmetric part gives
 U and Lambda.
 
 ``seigh`` accesses the operator only through block application, so it runs
-unchanged on implicit operators of any size; all remaining work happens on
-thin (D x n_outer) or small (n_inner x n_inner) matrices.  The range basis
-of the outer sketch, as in the range finder of Halko, Martinsson & Tropp
-(SIAM Review 2011), comes from CholeskyQR2 (Fukaya et al. 2014), two passes
-of Gram products and triangular solves.  Where its Gram certificate fails
-(rank-deficient or badly conditioned sketches) a Householder QR gives the
-basis instead, and the singular values of its small R factor give the
-numerical rank, which ``seigh`` reports as a field.
+unchanged on implicit operators of any size; the measurement maps are dense
+random signs, and all remaining work happens on thin (D x n_outer) or small
+(n_inner x n_inner) matrices.  The range basis of the outer sketch, as in
+the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), comes from
+CholeskyQR2 (Fukaya et al. 2014), two passes of Gram products and
+triangular solves.  Where its Gram certificate fails (rank-deficient or
+badly conditioned sketches) a Householder QR gives the basis instead, and
+the singular values of its small R factor give the numerical rank, which
+``seigh`` reports as a field.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,19 +60,18 @@ def default_inner_count(n_outer):
 
 @dataclass
 class MeasurementEnsemble:
-    """Reproducible Gaussian measurement matrices for one symmetric operator.
+    """Reproducible random-sign measurement matrices for one symmetric operator.
 
     Two matrices are materialized: ``upsilon`` (dim x n_inner) and
-    ``omega_full`` (dim x n_inner).  The leading n_inner - n_outer columns of
-    ``omega_full`` (``omega_inner``) and its trailing n_outer columns
-    (``omega_outer``) are views; the three blocks come from mutually
-    independent streams of one seed.  A worker thread fills ``upsilon`` from
-    stream 0 while the calling thread fills ``omega_full`` from streams 1
-    and 2; each stream keeps its own generator and fill order, so the
-    matrices are the same bit for bit as a serial draw.  ``seigh``
-    orthonormalizes A @ omega_outer into its range basis and recycles that
-    sketch into the inner block, so the operator is applied to n_inner
-    columns in total.
+    ``omega_full`` (dim x n_inner), whose leading n_inner - n_outer columns
+    (``omega_inner``) and trailing n_outer columns (``omega_outer``) are views.
+    Every entry is an iid sign, +1 or -1 with probability 1/2 (Achlioptas
+    2003), the dense sign maps of Tropp et al. 2019; ``residual_probe_norms``
+    and ``storage.fill_gaussian`` keep Gaussian draws.  Streams 0, 1 and 2 of
+    the seed fill ``upsilon``, ``omega_inner`` and ``omega_outer`` in place,
+    one random bit per entry in row-major order.  ``seigh`` orthonormalizes
+    A @ omega_outer into its range basis and recycles that sketch into the
+    inner block, so the operator is applied to n_inner columns in total.
     """
 
     seed: int
@@ -94,16 +93,10 @@ class MeasurementEnsemble:
             )
         streams = [np.random.default_rng(c)
                    for c in np.random.SeedSequence(self.seed).spawn(3)]
-        split = self.n_inner - self.n_outer
         self.upsilon = np.empty((self.dim, self.n_inner))
         self.omega_full = np.empty((self.dim, self.n_inner))
-        # the generators release the GIL while they fill; result() re-raises
-        # a failed fill instead of leaving upsilon uninitialised
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            upsilon = pool.submit(streams[0].standard_normal, out=self.upsilon)
-            self.omega_full[:, :split] = streams[1].standard_normal((self.dim, split))
-            self.omega_full[:, split:] = streams[2].standard_normal((self.dim, self.n_outer))
-            upsilon.result()
+        for rng, block in zip(streams, (self.upsilon, self.omega_inner, self.omega_outer)):
+            _fill_signs(rng, block)
 
     @property
     def omega_inner(self):
@@ -116,12 +109,16 @@ class MeasurementEnsemble:
         return self.omega_full[:, self.n_inner - self.n_outer:]
 
 
-def draw_measurements(dim, n_inner, n_outer, seed):
-    """Draw a reproducible Gaussian measurement ensemble.
+def _fill_signs(rng, block):
+    """Fill ``block`` in place with signs, one bit of ``rng.bytes`` per entry."""
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-block.size // 8)), np.uint8),
+                         count=block.size)
+    np.subtract(0.5, bits.reshape(block.shape), out=block)  # a set bit gives -1
+    block *= 2.0
 
-    Same seed gives bit-identical matrices; the blocks come from mutually
-    independent streams.
-    """
+
+def draw_measurements(dim, n_inner, n_outer, seed):
+    """Draw a reproducible random-sign ``MeasurementEnsemble`` from ``seed``."""
     return MeasurementEnsemble(seed=int(seed), dim=int(dim), n_inner=int(n_inner),
                                n_outer=int(n_outer))
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -325,10 +327,12 @@ def test_overlap_curve_dense_cap_skips_exact(caplog, monkeypatch):
     op = make_planted_operator(dim, np.arange(rank, 0, -1.0), None, 0.0, seed=6)
     theta = ranked_theta(dim, np.arange(rank), seed=7)
     monkeypatch.setattr(experiments, "DENSE_ORACLE_MAX_DIM", 10)
-    curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8)
+    with caplog.at_level(logging.INFO, logger="grassket.experiments"):
+        curve = overlap_curve(op, theta, n_outer=8, n_inner=17, k_max=rank, seed=8)
     assert all(np.isnan(p.exact) for p in curve.points)
     assert all(np.isfinite(p.sketched) for p in curve.points)
-    assert any("dense-oracle cap" in r.message for r in caplog.records)
+    assert any("dense-oracle cap" in r.message and r.levelno == logging.INFO
+               for r in caplog.records)
 
 
 @pytest.mark.parametrize("cap", [DENSE_ORACLE_MAX_DIM, 89],

@@ -76,3 +76,10 @@ def test_sketch_runs_without_scipy():
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_package_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = re.search(r"^\[project\]$(.*?)^\[", pyproject.read_text(encoding="utf-8"),
+                        re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [grassket.__version__]

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,15 +39,24 @@ def test_measurements_shapes_and_validation():
         draw_measurements(4, 9, 2, seed=0)  # n_inner > dim
 
 
+def _reference_signs(rng, shape):
+    # one bit of rng.bytes per entry in row-major order, most significant
+    # bit of each byte first; a set bit is -1
+    size = int(np.prod(shape))
+    raw = np.frombuffer(rng.bytes((size + 7) // 8), dtype=np.uint8)
+    bits = (raw[:, None] >> np.arange(7, -1, -1)) & 1
+    return 1.0 - 2.0 * bits.ravel()[:size].reshape(shape)
+
+
 def test_omega_full_holds_both_streams_as_views():
     ens = draw_measurements(16, 9, 4, seed=3)
     assert np.shares_memory(ens.omega_outer, ens.omega_full)
     assert np.shares_memory(ens.omega_inner, ens.omega_full)
     # stream 1 fills the leading inner columns, stream 2 the trailing outer ones
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(5)]
-    assert np.array_equal(ens.upsilon, streams[0].standard_normal((16, 9)))
-    assert np.array_equal(ens.omega_full[:, :5], streams[1].standard_normal((16, 5)))
-    assert np.array_equal(ens.omega_full[:, 5:], streams[2].standard_normal((16, 4)))
+    assert np.array_equal(ens.upsilon, _reference_signs(streams[0], (16, 9)))
+    assert np.array_equal(ens.omega_full[:, :5], _reference_signs(streams[1], (16, 5)))
+    assert np.array_equal(ens.omega_full[:, 5:], _reference_signs(streams[2], (16, 4)))
 
 
 @pytest.mark.parametrize("dim,n_inner,n_outer,seed", [
@@ -55,13 +65,37 @@ def test_concurrent_draw_matches_serial_streams(dim, n_inner, n_outer, seed):
     ens = draw_measurements(dim, n_inner, n_outer, seed=seed)
     assert ens.omega_outer.base is ens.omega_full
     assert ens.omega_inner.base is ens.omega_full
-    # the concurrent draw equals the serial one: stream 0 fills upsilon,
-    # stream 1 the leading inner columns, stream 2 the trailing outer ones
+    # every entry is a sign; stream 0 fills upsilon, stream 1 the leading
+    # inner columns, stream 2 the trailing outer ones
     split = n_inner - n_outer
+    for block in (ens.upsilon, ens.omega_full):
+        assert np.all(np.abs(block) == 1.0)
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
-    assert np.array_equal(ens.upsilon, streams[0].standard_normal((dim, n_inner)))
-    assert np.array_equal(ens.omega_inner, streams[1].standard_normal((dim, split)))
-    assert np.array_equal(ens.omega_outer, streams[2].standard_normal((dim, n_outer)))
+    assert np.array_equal(ens.upsilon, _reference_signs(streams[0], (dim, n_inner)))
+    assert np.array_equal(ens.omega_inner, _reference_signs(streams[1], (dim, split)))
+    assert np.array_equal(ens.omega_outer, _reference_signs(streams[2], (dim, n_outer)))
+
+
+def test_measurement_signs_are_fair():
+    ens = draw_measurements(1030, 980, 300, seed=1)
+    for block in (ens.upsilon, ens.omega_full):
+        n = block.size
+        assert n >= 10**6
+        negative = np.count_nonzero(block == -1.0) / n
+        assert abs(negative - 0.5) <= 5 * np.sqrt(0.25 / n)
+
+
+def test_measurement_draw_allocates_no_block_size_temporary():
+    dim, n_inner, n_outer = 3000, 201, 100
+    draw_measurements(16, 9, 4, seed=0)  # imports numpy.random before tracing
+    tracemalloc.start()
+    try:
+        ens = draw_measurements(dim, n_inner, n_outer, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = ens.upsilon.nbytes + ens.omega_full.nbytes
+    assert peak - result < dim * n_inner * 8 / 4
 
 
 def test_measurements_entrywise_mean():
