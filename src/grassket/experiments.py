@@ -300,9 +300,9 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     reference.  At a magnitude tie that straddles k the top-k eigenspace is
     not unique either, and either oracle's pick is one valid basis of it.
 
-    One magnitude ranking of ``theta`` and one k_max-column eigenbasis per
-    column serve every k: the top-k mask is the first k ranked indices and
-    the rank-k eigenbasis the first k columns.
+    One magnitude ranking of ``theta`` and the k_max ranked rows of each
+    column's eigenvectors serve every k: the top-k mask is the first k ranked
+    indices and the rank-k eigenbasis the first k columns.
     """
     dim = op.dim
     theta = np.asarray(theta, dtype=np.float64).ravel()
@@ -318,14 +318,13 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     top = magnitude_ranking(theta)[:k_max]
 
     decomposition = seigh(op, draw_measurements(dim, n_inner, n_outer, seed))
-    eigenbasis = decomposition.eigenbasis(k_max)
     if k_max > decomposition.numerical_rank:
         raise ValueError(
             f"k_max={k_max} exceeds the numerical rank "
             f"{decomposition.numerical_rank} of the sketch; "
             "top-k eigenspaces past the rank are not unique"
         )
-    sketched = _nested_overlaps(eigenbasis.columns[top])
+    sketched = _nested_overlaps(decomposition.vectors[top, :k_max])
 
     if dim <= DENSE_ORACLE_MAX_DIM:
         vectors, source = op.reference_eigenbasis(k_max)

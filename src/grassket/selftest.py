@@ -85,7 +85,7 @@ def store_round_trips(workdir, seed):
         for job in [pool.submit(write_columns, parallel, s, data[:, s:s + 4])
                     for s in range(0, 48, 4)]:
             job.result()
-    sequential = create_layout(workdir / "seq.store", 48, 48, chunk_cols=6)
+    sequential = create_layout(workdir / "serial.store", 48, 48, chunk_cols=6)
     write_columns(sequential, 0, data)
     writes = [read_matrix(parallel).tobytes(), read_matrix(sequential).tobytes()]
     return matrices, merges, writes

@@ -10,7 +10,7 @@ sketch serves both sides and is recycled into the inner block: the result is
 Q U Lambda U^T Q^T from n_inner operator applications in total.  The small
 core (upsilon^T Q)^+ M ((omega^T Q)^+)^T comes from two minimum-norm
 least-squares solves, and the eigendecomposition of its symmetric part gives
-U and Lambda.
+U and Lambda; ``seigh`` returns the eigenpairs as V = Q U and Lambda.
 
 ``seigh`` accesses the operator only through block application, so it runs
 unchanged on implicit operators of any size; the measurement maps are dense
@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IntegrityError
 from .grassmann import OrthonormalBasis, gram_qr
 from .masks import magnitude_ranking
 
@@ -125,19 +126,18 @@ def draw_measurements(dim, n_inner, n_outer, seed):
 
 @dataclass
 class SketchedEigh:
-    """Approximate eigendecomposition Q U diag(eigvals) U^T Q^T.
+    """Approximate eigendecomposition V diag(eigvals) V^T.
 
-    ``Q`` is dim x n_outer column-orthonormal, ``U`` n_outer x rank
-    column-orthonormal (square before truncation) and ``eigvals`` is sorted by
-    nonincreasing magnitude.  ``core_asymmetry`` records the relative
-    Frobenius asymmetry of the core matrix before it was symmetrized, a cheap
-    sanity diagnostic.  ``numerical_rank`` counts the leading eigenvalues
-    backed by range information; the ones past it are exact zeros, and
-    eigenspaces past it are not unique.  It defaults to ``rank``.
+    ``vectors`` (V) is dim x rank column-orthonormal and ``eigvals`` is
+    sorted by nonincreasing magnitude, column j of V belonging to eigvals[j].
+    ``core_asymmetry`` records the relative Frobenius asymmetry of the core
+    matrix before it was symmetrized, a cheap sanity diagnostic.
+    ``numerical_rank`` counts the leading eigenvalues backed by range
+    information; the ones past it are exact zeros, and eigenspaces past it
+    are not unique.  It defaults to ``rank``.
     """
 
-    Q: np.ndarray
-    U: np.ndarray
+    vectors: np.ndarray
     eigvals: np.ndarray
     core_asymmetry: float = 0.0
     numerical_rank: int = None
@@ -148,11 +148,7 @@ class SketchedEigh:
 
     @property
     def dim(self):
-        return self.Q.shape[0]
-
-    @property
-    def n_outer(self):
-        return self.Q.shape[1]
+        return self.vectors.shape[0]
 
     @property
     def rank(self):
@@ -163,15 +159,14 @@ class SketchedEigh:
         k = self.rank if k is None else int(k)
         if not 1 <= k <= self.rank:
             raise ValueError(f"need 1 <= k <= {self.rank}, got {k}")
-        return OrthonormalBasis(self.Q @ self.U[:, :k], check=False)
+        return OrthonormalBasis(self.vectors[:, :k], check=False)
 
     def reconstruct(self, X):
-        """Apply the reconstructed operator Q U diag(l) U^T Q^T to a block."""
-        return self.Q @ (self.U @ (self.eigvals[:, None] * (self.U.T @ (self.Q.T @ X))))
+        """Apply the reconstructed operator V diag(l) V^T to a block."""
+        return self.vectors @ (self.eigvals[:, None] * (self.vectors.T @ X))
 
     def dense(self):
-        scaled = self.U * self.eigvals
-        return self.Q @ (scaled @ self.U.T) @ self.Q.T
+        return (self.vectors * self.eigvals) @ self.vectors.T
 
 
 def _orthonormal_range(M):
@@ -230,8 +225,9 @@ def seigh(A, ens):
     the operator is applied to exactly n_inner columns in total.  The small
     core C = (upsilon^T Q)^+ M_I ((omega_full^T Q)^+)^T comes from two
     least-squares solves (Tropp et al. 2019, see the module docstring), is
-    symmetrized and eigendecomposed.  Eigenvalues come back ordered by
-    nonincreasing magnitude, lower index first on ties, with the columns of U
+    symmetrized and eigendecomposed into U and Lambda, and the eigenvectors
+    Q U are formed once, as ``vectors``.  Eigenvalues come back ordered by
+    nonincreasing magnitude, lower index first on ties, with the eigenvectors
     permuted to match.  Those past the numerical rank of the outer sketch
     are exact zeros; the rank is returned as ``numerical_rank``.
     """
@@ -256,10 +252,10 @@ def seigh(A, ens):
 
     eigvals, U = np.linalg.eigh(core)
     order = magnitude_ranking(eigvals)
-    eigvals, U = eigvals[order], U[:, order]
+    eigvals = eigvals[order]
     eigvals[numerical_rank:] = 0.0
-    return SketchedEigh(Q=Q, U=U, eigvals=eigvals, core_asymmetry=asymmetry,
-                        numerical_rank=numerical_rank)
+    return SketchedEigh(vectors=Q @ U[:, order], eigvals=eigvals,
+                        core_asymmetry=asymmetry, numerical_rank=numerical_rank)
 
 
 def truncate(dec, k):
@@ -267,7 +263,7 @@ def truncate(dec, k):
     k = int(k)
     if not 1 <= k <= dec.rank:
         raise ValueError(f"need 1 <= k <= {dec.rank}, got k={k}")
-    return replace(dec, U=dec.U[:, :k], eigvals=dec.eigvals[:k],
+    return replace(dec, vectors=dec.vectors[:, :k], eigvals=dec.eigvals[:k],
                    numerical_rank=min(dec.numerical_rank, k))
 
 
@@ -286,36 +282,34 @@ def residual_probe_norms(A, dec, n_probe, seed):
 
 
 def save_sketched_eigh(dec, path, metadata=None):
-    """Persist a sketched eigendecomposition as two column stores plus manifest."""
+    """Persist ``dec.vectors`` as the column store ``path/vectors.store``, whose
+    metadata adds eigvals, core_asymmetry and numerical_rank to ``metadata``."""
     from . import storage
 
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     meta = dict(metadata or {})
     meta["eigvals"] = [float(v) for v in dec.eigvals]
     meta["core_asymmetry"] = dec.core_asymmetry
     meta["numerical_rank"] = dec.numerical_rank
-    for name, block in (("q", dec.Q), ("u", dec.U)):
-        store = storage.create_layout(
-            path / f"{name}.store", block.shape[0], block.shape[1],
-            chunk_cols=max(1, block.shape[1] // 4), metadata=meta, overwrite=True,
-        )
-        storage.write_columns(store, 0, block)
-    return path
+    store = storage.create_layout(
+        Path(path) / "vectors.store", dec.dim, dec.rank,
+        chunk_cols=max(1, dec.rank // 4), metadata=meta, overwrite=True,
+    )
+    storage.write_columns(store, 0, dec.vectors)
+    return Path(path)
 
 
 def load_sketched_eigh(path):
+    """Read a ``save_sketched_eigh`` directory; IntegrityError if its eigvals
+    count or numerical_rank does not fit the stored columns."""
     from . import storage
 
-    path = Path(path)
-    q_store = storage.open_store(path / "q.store")
-    Q = storage.read_columns(q_store, 0, q_store.cols)
-    u_store = storage.open_store(path / "u.store")
-    U = storage.read_columns(u_store, 0, u_store.cols)
-    meta = q_store.metadata
-    return SketchedEigh(
-        Q=Q, U=U,
-        eigvals=np.asarray(meta["eigvals"], dtype=np.float64),
-        core_asymmetry=float(meta.get("core_asymmetry", 0.0)),
-        numerical_rank=meta.get("numerical_rank"),
-    )
+    store = storage.open_store(Path(path) / "vectors.store")
+    meta = store.metadata
+    eigvals = np.asarray(meta.get("eigvals"), dtype=np.float64)
+    rank = meta.get("numerical_rank")
+    if eigvals.shape != (store.cols,) or type(rank) is not int or not 0 <= rank <= store.cols:
+        raise IntegrityError(f"{store.path}: {eigvals.size} eigvals and numerical_rank "
+                             f"{rank!r} do not fit {store.cols} stored eigenvectors")
+    return SketchedEigh(vectors=storage.read_columns(store, 0, store.cols), eigvals=eigvals,
+                        core_asymmetry=float(meta.get("core_asymmetry", 0.0)),
+                        numerical_rank=rank)

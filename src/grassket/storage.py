@@ -195,14 +195,39 @@ def _int_field(mapping, key):
     return value
 
 
-def _check_element_format(manifest, path):
-    """Refuse an element type or layout other than the one stores are read in."""
+def _open_header(path, header, data_offset=None):
+    """(parsed JSON, handle) of a manifest, or with ``data_offset`` a merged header.
+
+    Both forms need integer ``format_version``, ``rows``, ``cols`` and chunk
+    width (``source_chunk_cols`` when merged), a version no newer than
+    FORMAT_VERSION and the one supported ``dtype`` and ``layout``; anything
+    else raises IntegrityError.
+    """
+    merged = data_offset is not None
+    try:
+        manifest = json.loads(header)
+        version, rows, cols, chunk_cols = (
+            _int_field(manifest, key) for key in
+            ("format_version", "rows", "cols", "source_chunk_cols" if merged else "chunk_cols"))
+        store = MatrixStore(
+            path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
+            chunks=_chunk_grid(rows, cols, chunk_cols, path.name if merged else None,
+                               data_offset or 0),
+            metadata=dict(manifest.get("metadata", {})), merged=merged,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed header in {path}: {exc!r}") from exc
+    if version > FORMAT_VERSION:
+        raise IntegrityError(
+            f"{path}: format_version {version} is newer than supported ({FORMAT_VERSION})"
+        )
     found = (manifest.get("dtype"), manifest.get("layout"))
     if found != (DTYPE.str, LAYOUT):
         raise IntegrityError(
             f"{path} holds dtype {found[0]!r} in layout {found[1]!r}; "
             f"only {DTYPE.str!r} in {LAYOUT!r} is supported"
         )
+    return manifest, store
 
 
 def open_store(path):
@@ -213,28 +238,13 @@ def open_store(path):
     nor alias, reorder or reshape chunks.
     """
     path = Path(path)
-    try:
-        manifest = json.loads((path / MANIFEST_NAME).read_bytes())
-        version = _int_field(manifest, "format_version")
-        rows, cols, chunk_cols = (_int_field(manifest, key)
-                                  for key in ("rows", "cols", "chunk_cols"))
-        chunks = _chunk_grid(rows, cols, chunk_cols)
-        listed = [(c["file"], c["col_start"], c["col_stop"]) for c in manifest["chunks"]]
-        metadata = dict(manifest.get("metadata", {}))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"malformed manifest in {path}: {exc!r}") from exc
-    if version > FORMAT_VERSION:
+    manifest, store = _open_header(path, (path / MANIFEST_NAME).read_bytes())
+    listed = manifest.get("chunks")
+    if listed != store.manifest_dict()["chunks"]:
         raise IntegrityError(
-            f"manifest format_version {version} is newer "
-            f"than supported ({FORMAT_VERSION})"
+            f"chunk list in {path} is not the {store.chunk_cols}-column grid: {listed}"
         )
-    _check_element_format(manifest, path)
-    if listed != [(c.file, c.col_start, c.col_stop) for c in chunks]:
-        raise IntegrityError(
-            f"chunk list in {path} is not the {chunk_cols}-column grid: {listed}"
-        )
-    return MatrixStore(path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
-                       chunks=chunks, metadata=metadata)
+    return store
 
 
 def open_merged(path):
@@ -246,19 +256,7 @@ def open_merged(path):
             raise IntegrityError(f"{path} is not a merged matrix file")
         header = fh.readline()
         data_offset = fh.tell()
-    try:
-        manifest = json.loads(header)
-        rows = _int_field(manifest, "rows")
-        cols = _int_field(manifest, "cols")
-        chunk_cols = _int_field(manifest, "source_chunk_cols")
-        _check_element_format(manifest, path)
-        return MatrixStore(
-            path=path, rows=rows, cols=cols, chunk_cols=chunk_cols,
-            chunks=_chunk_grid(rows, cols, chunk_cols, path.name, data_offset),
-            metadata=dict(manifest.get("metadata", {})), merged=True,
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"malformed header in {path}: {exc!r}") from exc
+    return _open_header(path, header, data_offset)[1]
 
 
 def open_any(source):

@@ -8,6 +8,9 @@ from grassket import experiments
 from grassket.cli import main
 from grassket.experiments import CurvePoint, OverlapCurve, run_baseline
 from grassket.grassmann import MetricKind, overlap_variance
+from grassket.masks import SparseMask
+from grassket.operators import make_planted_operator
+from grassket.sketch import draw_measurements, load_sketched_eigh, seigh
 from grassket.storage import open_merged, open_store, read_matrix, verify_store
 
 
@@ -45,6 +48,20 @@ def test_decompose_records_numerical_rank(tmp_path):
                 "--planted-rank", 10, "--n-outer", 15, "--seed", 9]) == 0
     header = (out / "eigvals.csv").read_text().splitlines()[0]
     assert header == "# seed=9 n_outer=15 n_inner=31 numerical_rank=10"
+
+
+def test_decompose_writes_a_loadable_decomposition(tmp_path):
+    out = tmp_path / "dec"
+    assert run(["decompose", "--output-dir", out, "--planted-dim", 200,
+                "--planted-rank", 10, "--n-outer", 15, "--seed", 9]) == 0
+    dec = load_sketched_eigh(out / "decomposition")
+    lines = (out / "eigvals.csv").read_text().splitlines()
+    assert dec.eigvals.tolist() == [float(line.split(",")[1]) for line in lines[2:]]
+    assert f"numerical_rank={dec.numerical_rank}" in lines[0].split()
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(15)).max() <= 1e-10
+    op = make_planted_operator(200, np.arange(10, 0, -1.0), SparseMask(200, np.arange(10)),
+                               0.0, 0)
+    assert np.array_equal(dec.vectors, seigh(op, draw_measurements(200, 31, 15, 9)).vectors)
 
 
 def test_decompose_rejects_bad_measurement_counts(tmp_path):

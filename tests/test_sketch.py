@@ -1,9 +1,11 @@
+import json
 import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from grassket.errors import IntegrityError
 from grassket.grassmann import OrthonormalBasis, overlap
 from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
@@ -153,8 +155,7 @@ def test_seigh_orthonormal_factors_and_symmetric_core():
     mask = SparseMask(80, np.arange(8))
     op = make_planted_operator(80, np.arange(8, 0, -1.0), mask, 0.6, seed=1)
     dec = seigh(op, draw_measurements(80, 27, 13, seed=2))
-    assert np.abs(dec.Q.T @ dec.Q - np.eye(13)).max() <= 1e-10
-    assert np.abs(dec.U.T @ dec.U - np.eye(13)).max() <= 1e-10
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(13)).max() <= 1e-10
     basis = dec.eigenbasis().columns
     assert np.abs(basis.T @ basis - np.eye(13)).max() <= 1e-10
     assert dec.core_asymmetry <= 1e-8
@@ -203,7 +204,7 @@ def test_seigh_numerical_rank_full_and_zero():
                  draw_measurements(12, 6, 3, seed=4))
     assert zero.numerical_rank == 0
     assert np.array_equal(zero.eigvals, np.zeros(3))
-    assert np.abs(zero.Q.T @ zero.Q - np.eye(3)).max() <= 1e-10
+    assert np.abs(zero.vectors.T @ zero.vectors - np.eye(3)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("make,n_outer,falls_back", [
@@ -234,7 +235,7 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
     dec = seigh(op, ens)
     assert dec.numerical_rank == expected
     assert calls == ([(op.dim, n_outer)] if falls_back else [])
-    assert np.abs(dec.Q.T @ dec.Q - np.eye(n_outer)).max() <= 1e-13
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n_outer)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def test_truncate_full_rank_is_identity():
     dec = seigh(op, draw_measurements(20, 11, 5, seed=6))
     full = truncate(dec, 5)
     assert np.array_equal(full.eigvals, dec.eigvals)
-    assert np.array_equal(full.U, dec.U)
+    assert np.array_equal(full.vectors, dec.vectors)
 
 
 def test_truncate_exact_rank_reconstruction():
@@ -298,22 +299,11 @@ def test_residual_small_when_fully_captured():
 
 def test_residual_of_zero_reconstruction_matches_frobenius_norm():
     op = DenseOperator(np.diag(np.ones(2)))
-    zero_dec = SketchedEigh(Q=np.eye(2), U=np.eye(2), eigvals=np.zeros(2))
+    zero_dec = SketchedEigh(vectors=np.eye(2), eigvals=np.zeros(2))
     norms = residual_probe_norms(op, zero_dec, n_probe=4000, seed=5)
     mean = norms.mean()
     stderr = norms.std(ddof=1) / np.sqrt(len(norms))
     assert abs(mean - 2.0) <= 3 * stderr  # ||A||_F^2 = 2
-
-
-def test_residual_invariant_under_basis_rotation():
-    op = DenseOperator(np.diag(np.arange(6, 0, -1.0)))
-    dec = seigh(op, draw_measurements(6, 5, 2, seed=6))
-    rng = np.random.default_rng(7)
-    Z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    rotated = SketchedEigh(Q=dec.Q @ Z, U=Z.T @ dec.U, eigvals=dec.eigvals)
-    a = np.sqrt(residual_probe_norms(op, dec, n_probe=8, seed=8).mean())
-    b = np.sqrt(residual_probe_norms(op, rotated, n_probe=8, seed=8).mean())
-    assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_residual_monotone_in_outer_count():
@@ -345,11 +335,10 @@ def test_save_load_round_trip(tmp_path):
     save_sketched_eigh(dec, tmp_path / "dec", metadata={"n_inner": 9, "n_outer": 4,
                                                         "seed": 0})
     loaded = load_sketched_eigh(tmp_path / "dec")
-    assert np.array_equal(loaded.Q, dec.Q)
-    assert np.array_equal(loaded.U, dec.U)
+    assert np.array_equal(loaded.vectors, dec.vectors)
     assert np.array_equal(loaded.eigvals, dec.eigvals)
     from grassket.storage import open_store
-    meta = open_store(tmp_path / "dec/q.store").metadata
+    meta = open_store(tmp_path / "dec/vectors.store").metadata
     assert (meta["n_inner"], meta["n_outer"], meta["seed"]) == (9, 4, 0)
     assert meta["eigvals"] == [float(v) for v in dec.eigvals]
 
@@ -360,3 +349,34 @@ def test_save_load_keeps_numerical_rank(tmp_path):
     assert dec.numerical_rank == 3
     save_sketched_eigh(dec, tmp_path / "dec")
     assert load_sketched_eigh(tmp_path / "dec").numerical_rank == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["eigvals"].pop(),
+    lambda meta: meta.update(eigvals=meta["eigvals"] + [0.0]),
+], ids=["one_short", "one_extra"])
+def test_load_refuses_eigval_count_off_the_columns(tmp_path, edit):
+    dec = seigh(DenseOperator(np.diag(np.arange(12, 0, -1.0))),
+                draw_measurements(12, 9, 4, seed=0))
+    save_sketched_eigh(dec, tmp_path / "dec")
+    _edit_metadata(tmp_path / "dec/vectors.store", edit)
+    with pytest.raises(IntegrityError, match="do not fit 4 stored eigenvectors"):
+        load_sketched_eigh(tmp_path / "dec")
+
+
+@pytest.mark.parametrize("rank", [-1, 5, 2.0, True, "3", None])
+def test_load_refuses_numerical_rank_outside_the_columns(tmp_path, rank):
+    dec = seigh(DenseOperator(np.diag(np.arange(12, 0, -1.0))),
+                draw_measurements(12, 9, 4, seed=0))
+    save_sketched_eigh(dec, tmp_path / "dec")
+    _edit_metadata(tmp_path / "dec/vectors.store",
+                   lambda meta: meta.update(numerical_rank=rank))
+    with pytest.raises(IntegrityError, match="do not fit 4 stored eigenvectors"):
+        load_sketched_eigh(tmp_path / "dec")
+
+
+def _edit_metadata(store_path, edit):
+    manifest_path = store_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["metadata"])
+    manifest_path.write_text(json.dumps(manifest))

@@ -288,7 +288,10 @@ def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
     (b'"rows": 4', b'"rows": -4'),
     (b'"cols": 4', b'"cols": 0'),
     (b'"cols": 4', b'"cols": 2050'),  # 1025 two-column chunks
-], ids=["null_chunk_cols", "negative_rows", "zero_cols", "too_many_chunks"])
+    (b'"format_version": 1', b'"format_version": 99'),
+    (b'"format_version": 1, ', b''),  # the key removed
+], ids=["null_chunk_cols", "negative_rows", "zero_cols", "too_many_chunks",
+        "newer_version", "missing_version"])
 def test_malformed_merged_header_raises_integrity_error(tmp_path, field, bad):
     store = create_layout(tmp_path / "s.store", 4, 4, chunk_cols=2)
     merged = merge(store, tmp_path / "s.mx")
