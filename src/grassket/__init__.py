@@ -4,19 +4,16 @@ the two, with chance-level baselines and a chunked matrix store."""
 
 from .errors import ContractViolation, IntegrityError
 from .experiments import (BaselineResult, OverlapCurve, overlap_curve,
-                          overlap_ratio_report, ranked_theta, rho_to_k,
-                          run_baseline, verify_lemma)
+                          ranked_theta, rho_to_k, run_baseline, verify_lemma)
 from .grassmann import (MetricKind, OrthonormalBasis, PrincipalAngles, metric,
                         metric_max, overlap, overlap_baseline,
                         principal_angles, sample_stiefel, similarity)
 from .masks import (SparseMask, hamming, iou, mask_basis,
-                    mask_eigenspace_overlap, sample_mask, sparsity_kappa,
-                    topk_magnitude_mask)
+                    mask_eigenspace_overlap, sample_mask, topk_magnitude_mask)
 from .operators import (CountingOperator, DenseOperator, LinearOperator,
                         PlantedOperator, eigh_by_magnitude, make_planted_operator)
 from .proxies import (QuadraticObjective, masked_perturbation_expectation,
                       psd_subtrace, sam_feature, squared_hessian_diag)
-from .sketch import (MeasurementEnsemble, SketchedEigh, draw_measurements,
-                     seigh, truncate)
+from .sketch import MeasurementEnsemble, SketchedEigh, draw_measurements, seigh
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -37,7 +37,6 @@ __all__ = [
     "verify_lemma",
     "ranked_theta",
     "overlap_curve",
-    "overlap_ratio_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -353,10 +352,3 @@ def _nested_overlaps(rows):
     """
     squares = rows * rows
     return [float(np.sum(squares[:k, :k]) / k) for k in range(1, len(rows) + 1)]
-
-
-def overlap_ratio_report(curve):
-    """(k, sketched/baseline) rows; the sketched overlap's factor above chance
-    level per k.  The ``curve`` command writes them as the ``ratio`` column
-    of its curve table and as its ratio table."""
-    return [(p.k, p.sketched / p.baseline) for p in curve.points]

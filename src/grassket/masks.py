@@ -22,7 +22,6 @@ __all__ = [
     "mask_eigenspace_overlap",
     "iou",
     "hamming",
-    "sparsity_kappa",
     "sample_mask",
     "magnitude_ranking",
 ]
@@ -125,18 +124,6 @@ def hamming(m1, m2):
         raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
     inter = len(np.intersect1d(m1.indices, m2.indices, assume_unique=True))
     return int(m1.k + m2.k - 2 * inter)
-
-
-def sparsity_kappa(v, mask):
-    """Fraction of the squared norm of v carried by the masked coordinates."""
-    v = _check_theta(v)
-    if v.size != mask.dim:
-        raise ValueError(f"vector length {v.size} != mask dimension {mask.dim}")
-    total = float(np.dot(v, v))
-    if total == 0.0:
-        raise ValueError("kappa is undefined for the zero vector")
-    sel = v[mask.indices]
-    return float(np.dot(sel, sel) / total)
 
 
 def mask_from_rng(rng, dim, k):

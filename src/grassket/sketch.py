@@ -25,7 +25,7 @@ the singular values of its small R factor give the numerical rank, which
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "SketchedEigh",
     "draw_measurements",
     "seigh",
-    "truncate",
     "residual_probe_norms",
     "save_sketched_eigh",
     "load_sketched_eigh",
@@ -165,9 +164,6 @@ class SketchedEigh:
         """Apply the reconstructed operator V diag(l) V^T to a block."""
         return self.vectors @ (self.eigvals[:, None] * (self.vectors.T @ X))
 
-    def dense(self):
-        return (self.vectors * self.eigvals) @ self.vectors.T
-
 
 def _orthonormal_range(M):
     """Orthonormal basis for the column span of a sketch block, and its rank.
@@ -258,15 +254,6 @@ def seigh(A, ens):
                         core_asymmetry=asymmetry, numerical_rank=numerical_rank)
 
 
-def truncate(dec, k):
-    """Keep the k leading eigenpairs of a sketched eigendecomposition."""
-    k = int(k)
-    if not 1 <= k <= dec.rank:
-        raise ValueError(f"need 1 <= k <= {dec.rank}, got k={k}")
-    return replace(dec, vectors=dec.vectors[:, :k], eigvals=dec.eigvals[:k],
-                   numerical_rank=min(dec.numerical_rank, k))
-
-
 def residual_probe_norms(A, dec, n_probe, seed):
     """Squared residual norms ||(A - reconstruction) g||^2 for Gaussian probes g.
 
@@ -298,18 +285,31 @@ def save_sketched_eigh(dec, path, metadata=None):
     return Path(path)
 
 
+def _json_number(value):
+    """A JSON number as a float; TypeError for any other value, booleans
+    included, and OverflowError for an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def load_sketched_eigh(path):
     """Read a ``save_sketched_eigh`` directory; IntegrityError if its eigvals
-    count or numerical_rank does not fit the stored columns."""
+    or core_asymmetry are not numbers, or if the eigvals count or
+    numerical_rank does not fit the stored columns."""
     from . import storage
 
     store = storage.open_store(Path(path) / "vectors.store")
     meta = store.metadata
-    eigvals = np.asarray(meta.get("eigvals"), dtype=np.float64)
+    try:
+        eigvals = np.array([_json_number(v) for v in meta.get("eigvals")], dtype=np.float64)
+        asymmetry = _json_number(meta.get("core_asymmetry", 0.0))
+    except (TypeError, OverflowError) as exc:
+        raise IntegrityError(f"{store.path}: eigvals and core_asymmetry must be "
+                             f"numbers: {exc}") from exc
     rank = meta.get("numerical_rank")
     if eigvals.shape != (store.cols,) or type(rank) is not int or not 0 <= rank <= store.cols:
         raise IntegrityError(f"{store.path}: {eigvals.size} eigvals and numerical_rank "
                              f"{rank!r} do not fit {store.cols} stored eigenvectors")
     return SketchedEigh(vectors=storage.read_columns(store, 0, store.cols), eigvals=eigvals,
-                        core_asymmetry=float(meta.get("core_asymmetry", 0.0)),
-                        numerical_rank=rank)
+                        core_asymmetry=asymmetry, numerical_rank=rank)

@@ -104,6 +104,10 @@ class MatrixStore:
     def chunk_path(self, spec):
         return self.path if self.merged else self.path / spec.file
 
+    def chunk_end(self, spec):
+        """Byte position in its file where a chunk's data ends."""
+        return spec.offset + self.rows * spec.width * DTYPE.itemsize
+
     def describe(self, spec):
         """A chunk as problem reports name it: its file, or a merged column range."""
         if self.merged:
@@ -349,6 +353,12 @@ def read_columns(source, col_start, n_cols):
     handle = open_any(source)
     col_start, n_cols = int(col_start), int(n_cols)
     pieces = _pieces(handle, col_start, n_cols)
+    # a manifest or merged header can claim more rows than its files hold:
+    # refuse before allocating, and again after each read, since a file can
+    # shrink in between
+    for spec, *_ in pieces:
+        if handle.chunk_path(spec).stat().st_size < handle.chunk_end(spec):
+            raise IntegrityError(f"{handle.path}: {handle.describe(spec)} is truncated")
     out = np.empty((handle.rows, n_cols), dtype=DTYPE, order="F")
     flat = out.reshape(-1, order="F")  # a view: each column range is one byte run
     for spec, lo, hi, position in pieces:
@@ -373,7 +383,7 @@ def _structural_issues(handle):
         if not chunk_file.exists():
             issues.append(f"missing chunk file: {spec.file}")
             continue
-        end = spec.offset + handle.rows * spec.width * DTYPE.itemsize
+        end = handle.chunk_end(spec)
         size = chunk_file.stat().st_size
         if size != end:
             # counted from column 0, so a merged file reports its data segment

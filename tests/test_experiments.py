@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from grassket import experiments, grassmann
-from grassket.experiments import (DENSE_ORACLE_MAX_DIM, CurvePoint,
-                                  OverlapCurve, overlap_curve,
-                                  overlap_ratio_report, ranked_theta, rho_to_k,
-                                  run_baseline, verify_lemma)
+from grassket.experiments import (DENSE_ORACLE_MAX_DIM, overlap_curve,
+                                  ranked_theta, rho_to_k, run_baseline,
+                                  verify_lemma)
 from grassket.grassmann import (MetricKind, OrthonormalBasis, haar_rows, metric,
                                 overlap, overlap_variance, principal_angles,
                                 similarity)
@@ -15,7 +14,7 @@ from grassket.masks import (SparseMask, mask_basis, mask_eigenspace_overlap,
                             mask_from_rng, topk_magnitude_mask)
 from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
-from grassket.sketch import draw_measurements, seigh, truncate
+from grassket.sketch import draw_measurements, seigh
 
 
 def test_rho_to_k():
@@ -350,7 +349,7 @@ def test_overlap_curve_matches_per_k_definition(cap, monkeypatch):
     assert [p.k for p in curve.points] == list(range(1, rank + 1))
     for p in curve.points:
         top = topk_magnitude_mask(theta, p.k)
-        sketched = mask_eigenspace_overlap(top, truncate(dec, p.k).eigenbasis(), p.k)
+        sketched = mask_eigenspace_overlap(top, dec.eigenbasis(p.k), p.k)
         assert abs(p.sketched - sketched) <= 1e-12
         if cap < dim:
             assert np.isnan(p.exact)
@@ -359,15 +358,7 @@ def test_overlap_curve_matches_per_k_definition(cap, monkeypatch):
             assert abs(p.exact - mask_eigenspace_overlap(top, exact_basis, p.k)) <= 1e-12
 
 
-def test_overlap_ratio_report():
-    points = [CurvePoint(k=k, exact=k / 10, sketched=k / 10, baseline=k / 10)
-              for k in range(1, 4)]
-    curve = OverlapCurve(points=points, operator="probe", n_outer=3, n_inner=7,
-                         seed=0, exact_source="dense")
-    assert all(r == pytest.approx(1.0) for _, r in overlap_ratio_report(curve))
-
-
-def test_overlap_ratio_report_aligned_and_blended():
+def test_exact_overlap_ratio_aligned_and_blended():
     dim, rank = 100, 5
     mask = SparseMask(dim, np.arange(rank))
     theta = ranked_theta(dim, mask.indices, seed=9)

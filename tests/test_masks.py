@@ -6,7 +6,7 @@ import pytest
 from grassket.grassmann import OrthonormalBasis, overlap, sample_stiefel
 from grassket.masks import (SparseMask, hamming, iou, mask_basis,
                             mask_eigenspace_overlap, sample_mask,
-                            sparsity_kappa, topk_magnitude_mask)
+                            topk_magnitude_mask)
 from grassket.operators import eigh_by_magnitude, make_planted_operator
 
 
@@ -146,26 +146,18 @@ def test_overlap_is_a_limited_resource():
         assert total <= k + 1e-12
 
 
-def test_sparsity_kappa():
-    v = np.array([3.0, 4.0, 0.0, 0.0])
-    assert sparsity_kappa(v, SparseMask(4, [0])) == pytest.approx(0.36, abs=1e-15)
-    assert sparsity_kappa(v, SparseMask(4, np.arange(4))) == 1.0
-    uniform = np.full(10, -2.0)
-    assert sparsity_kappa(uniform, SparseMask(10, [1, 4, 7])) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        sparsity_kappa(np.zeros(4), SparseMask(4, [0]))
-
-
 def test_topk_maximizes_kappa_exhaustively():
+    # kappa is the fraction of the squared norm that the masked coordinates carry
     rng = np.random.default_rng(17)
     for dim in (6, 9, 12):
         theta = rng.standard_normal(dim)
+        total = np.dot(theta, theta)
         for k in (1, 2, 3):
-            best = topk_magnitude_mask(theta, k)
-            best_value = sparsity_kappa(theta, best)
+            best = theta[topk_magnitude_mask(theta, k).indices]
+            best_value = np.dot(best, best) / total
             for combo in itertools.combinations(range(dim), k):
-                other = sparsity_kappa(theta, SparseMask(dim, list(combo)))
-                assert other <= best_value + 1e-15
+                other = theta[list(combo)]
+                assert np.dot(other, other) / total <= best_value + 1e-15
 
 
 def test_sample_mask_statistics():

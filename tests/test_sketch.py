@@ -12,7 +12,7 @@ from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitu
                                 make_planted_operator)
 from grassket.sketch import (DEGENERATE_COL_RTOL, SketchedEigh, draw_measurements,
                              load_sketched_eigh, residual_probe_norms,
-                             save_sketched_eigh, seigh, truncate)
+                             save_sketched_eigh, seigh)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_omega_full_holds_both_streams_as_views():
 
 @pytest.mark.parametrize("dim,n_inner,n_outer,seed", [
     (16, 9, 4, 3), (16, 5, 5, 4), (9, 9, 2, 5), (3000, 201, 100, 6)])
-def test_concurrent_draw_matches_serial_streams(dim, n_inner, n_outer, seed):
+def test_draw_matches_reference_streams(dim, n_inner, n_outer, seed):
     ens = draw_measurements(dim, n_inner, n_outer, seed=seed)
     assert ens.omega_outer.base is ens.omega_full
     assert ens.omega_inner.base is ens.omega_full
@@ -242,20 +242,13 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
 # truncation
 
 
-def test_truncate_full_rank_is_identity():
-    op = DenseOperator(np.diag(np.arange(20, 0, -1.0)))
-    dec = seigh(op, draw_measurements(20, 11, 5, seed=6))
-    full = truncate(dec, 5)
-    assert np.array_equal(full.eigvals, dec.eigvals)
-    assert np.array_equal(full.vectors, dec.vectors)
-
-
 def test_truncate_exact_rank_reconstruction():
+    # the eigenvalues past numerical rank 10 are exact zeros
     mask = SparseMask(90, np.arange(10))
     op = make_planted_operator(90, np.arange(10, 0, -1.0), mask, 0.5, seed=7)
-    dec = truncate(seigh(op, draw_measurements(90, 31, 15, seed=8)), 10)
+    dec = seigh(op, draw_measurements(90, 31, 15, seed=8))
     dense = op.materialize()
-    err = np.linalg.norm(dec.dense() - dense)
+    err = np.linalg.norm(dec.reconstruct(np.eye(90)) - dense)
     assert err <= 1e-8 * np.linalg.norm(dense)
 
 
@@ -263,26 +256,19 @@ def test_truncate_to_single_eigenpair():
     # exact-rank setting, so the leading eigenpair is recovered sharply
     diag = np.concatenate([np.arange(10, 0, -1.0), np.zeros(90)])
     op = DenseOperator(np.diag(diag))
-    dec = truncate(seigh(op, draw_measurements(100, 31, 15, seed=9)), 1)
-    assert dec.eigvals == pytest.approx([10.0], rel=1e-8)
-    vec = dec.eigenbasis().columns[:, 0]
+    dec = seigh(op, draw_measurements(100, 31, 15, seed=9))
+    assert dec.eigvals[0] == pytest.approx(10.0, rel=1e-8)
+    vec = dec.eigenbasis(1).columns[:, 0]
     assert abs(vec[0]) >= 1 - 1e-8
-
-
-def test_truncate_caps_numerical_rank():
-    op = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
-    dec = seigh(op, draw_measurements(100, 21, 10, seed=2))
-    assert truncate(dec, 8).numerical_rank == 5
-    assert truncate(dec, 3).numerical_rank == 3
 
 
 def test_truncate_range_check():
     op = DenseOperator(np.diag(np.arange(8, 0, -1.0)))
     dec = seigh(op, draw_measurements(8, 7, 3, seed=1))
     with pytest.raises(ValueError):
-        truncate(dec, 0)
+        dec.eigenbasis(0)
     with pytest.raises(ValueError):
-        truncate(dec, 4)
+        dec.eigenbasis(4)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +358,21 @@ def test_load_refuses_numerical_rank_outside_the_columns(tmp_path, rank):
     _edit_metadata(tmp_path / "dec/vectors.store",
                    lambda meta: meta.update(numerical_rank=rank))
     with pytest.raises(IntegrityError, match="do not fit 4 stored eigenvectors"):
+        load_sketched_eigh(tmp_path / "dec")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["eigvals"].__setitem__(0, "x"),
+    lambda meta: meta.update(eigvals="abc"),
+    lambda meta: meta.update(core_asymmetry="x"),
+    lambda meta: meta.update(core_asymmetry=None),
+], ids=["eigval_text", "eigvals_text", "asymmetry_text", "asymmetry_null"])
+def test_load_refuses_non_numeric_eigvals_and_asymmetry(tmp_path, edit):
+    dec = seigh(DenseOperator(np.diag(np.arange(12, 0, -1.0))),
+                draw_measurements(12, 9, 4, seed=0))
+    save_sketched_eigh(dec, tmp_path / "dec")
+    _edit_metadata(tmp_path / "dec/vectors.store", edit)
+    with pytest.raises(IntegrityError, match="must be numbers"):
         load_sketched_eigh(tmp_path / "dec")
 
 

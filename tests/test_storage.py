@@ -283,6 +283,21 @@ def test_malformed_manifest_raises_integrity_error(tmp_path, corrupt):
     assert verify_store(store.path)[0].startswith("unreadable")
 
 
+@pytest.mark.parametrize("rows", [10**12, 2**62])
+def test_rows_past_the_files_are_refused_before_allocating(tmp_path, capsys, rows):
+    store = create_layout(tmp_path / "s.store", 6, 6, chunk_cols=2)
+    write_columns(store, 0, np.eye(6))
+    manifest_path = store.path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["rows"] = rows
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match=f"{store.chunks[0].file} is truncated"):
+        read_matrix(store.path)
+    assert main(["decompose", "--output-dir", str(tmp_path / "out"),
+                 "--dense-store", str(store.path), "--n-outer", "2"]) == 3
+    assert "ERROR type=io" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, bad", [
     (b'"source_chunk_cols": 2', b'"source_chunk_cols": null'),
     (b'"rows": 4', b'"rows": -4'),
