@@ -6,11 +6,13 @@ invariant).  The distance family is computed from the principal angles, the
 nondecreasing vector sigma in [0, pi/2]^k obtained from the singular values of
 Q1^T Q2.  Each distance comes with its analytic maximum, which normalizes it
 into a [0, 1] similarity; the overlap similarity needs no normalization and
-has the closed-form chance level k/D for uniformly random subspaces.  Uniform
-(Haar) bases come from one sampler, the CholeskyQR2 factor of a Gaussian
-matrix; ``qr_rows`` reads k rows of such a basis off one Gram product, and
-``haar_rows`` gives k rows of a D x k one from a stand-in of at most 2k rows
-whose Gram is drawn through its Bartlett factor.
+has the closed-form chance level k/D for uniformly random subspaces.  Every
+orthonormal basis the package forms comes from ``orthonormal_range``,
+CholeskyQR2 with one Householder fallback.  Uniform (Haar) bases come from
+one sampler, its Q factor of a Gaussian matrix; ``qr_rows`` reads k rows of
+such a basis off one Gram product, and ``haar_rows`` gives k rows of a D x k
+one from a stand-in of at most 2k rows whose Gram is drawn through its
+Bartlett factor.
 """
 
 from dataclasses import dataclass
@@ -30,8 +32,7 @@ __all__ = [
     "similarity",
     "overlap",
     "cross_angles",
-    "cholesky_qr2",
-    "gram_qr",
+    "orthonormal_range",
     "qr_rows",
     "haar_rows",
     "sample_stiefel",
@@ -46,6 +47,16 @@ ORTHONORMAL_ATOL = 1e-10
 _RIGHT_ANGLE_TOL = 1e-12
 
 _SVAL_EXCESS_TOL = 1e-8
+
+# directions of a matrix whose singular value falls below
+# DEGENERATE_COL_RTOL * ||matrix||_F carry no range information;
+# orthonormal_range leaves them out of the rank it reports
+DEGENERATE_COL_RTOL = 1e-14
+
+# orthonormal_range rescales a matrix whose squared Frobenius norm lies
+# outside this range; inside it every singular value above the rank
+# threshold has a normal, finite square
+_GRAM_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 # qr_rows keeps its single CholeskyQR pass while the estimated condition
 # number of the Gram, cond(matrix)^2, is at most this.  Over 30000 Gaussian
@@ -242,10 +253,13 @@ def overlap(b1, b2):
 
 
 def positive_qr(matrix):
-    """Q factor signed so diag(R) >= 0; for a Gaussian matrix it is Haar distributed."""
+    """Householder QR with Q and R signed so diag(R) >= 0; for a Gaussian
+    matrix Q is Haar distributed."""
     Q, R = np.linalg.qr(matrix)
-    d = np.diag(R)
-    return Q * np.sign(np.where(d == 0, 1.0, d))
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    Q *= signs
+    R *= signs[:, None]
+    return Q, R
 
 
 def _upper_triangular_inverse(upper):
@@ -274,41 +288,44 @@ def _inverse_cholesky_factor(gram):
     return _upper_triangular_inverse(lower.T)
 
 
-def cholesky_qr2(matrix):
-    """Q factor of matrix = QR with diag(R) > 0, by CholeskyQR2.
+def orthonormal_range(matrix):
+    """Orthonormal basis Q of the column span of a tall matrix, and its rank.
 
-    Each pass factors a Gram, R^T R = A^T A, and forms A R^-1; the second
-    pass, on the first pass's Q, restores orthogonality to rounding for
-    cond(matrix) up to about 1e8 (Fukaya et al. 2014).  The positive-diagonal
-    R is unique, so the result is positive_qr(matrix) up to rounding, and
-    Haar distributed for a Gaussian matrix.  Where the Gram is not
-    numerically positive definite, or the first pass leaves Q too far from
-    orthonormal for one more pass (||Q^T Q - I||_F > 1/2), positive_qr's
-    Householder QR gives the columns instead.
+    CholeskyQR2 (Fukaya et al. 2014) gives Q while its Gram certificate
+    holds: each pass factors a Gram, R^T R = A^T A, and forms A R^-1, and
+    the second pass, on the first's Q, restores orthogonality to rounding.
+    The certificate fails where the Gram is not numerically positive
+    definite, or where the first pass is further than ||Q^T Q - I||_F = 1/2
+    from orthonormal.  That deviation grows like eps * cond(matrix)^2, so an
+    accepted matrix has cond(matrix) below about 1e8 and its column count as
+    rank.  Otherwise positive_qr's Householder QR gives Q, and the rank
+    counts the singular values of its R above DEGENERATE_COL_RTOL *
+    ||matrix||_F; past the rank, Q's columns are a deterministic orthonormal
+    completion.  R has a nonnegative diagonal either way, so Q is
+    positive_qr's up to rounding, and Haar distributed for a Gaussian
+    matrix.  A matrix whose squared Frobenius norm lies outside _GRAM_RANGE
+    is first rescaled by a power of two, which changes no bit of Q.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    q = gram_qr(matrix)
-    return positive_qr(matrix) if q is None else q
-
-
-def gram_qr(matrix):
-    """CholeskyQR2's Q factor of a float64 matrix, or None where it must fall back.
-
-    None where the Gram is not numerically positive definite, or where the
-    first pass leaves Q further than ||Q^T Q - I||_F = 1/2 from orthonormal.
-    The first pass's deviation grows like eps * cond(matrix)^2, so an
-    accepted matrix has cond(matrix) below about 1e8 and full column rank.
-    """
-    rinv = _inverse_cholesky_factor(matrix.T @ matrix)
-    if rinv is None:
-        return None
-    first = matrix @ rinv
-    gram = first.T @ first
-    # inverted comparison so a non-finite first pass falls back too
-    if not np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-        return None
-    # a Gram within 1/2 of I has its eigenvalues in [1/2, 3/2]
-    return first @ _inverse_cholesky_factor(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix.T @ matrix
+    if not _GRAM_RANGE[0] <= np.trace(gram) <= _GRAM_RANGE[1]:
+        # exponent 0 for a zero or non-finite matrix, which keeps it as is
+        exponent = np.frexp(max(matrix.max(), -matrix.min()))[1]
+        if exponent:
+            matrix = np.ldexp(matrix, -exponent)
+            gram = matrix.T @ matrix
+    rinv = _inverse_cholesky_factor(gram)
+    if rinv is not None:
+        first = matrix @ rinv
+        gram = first.T @ first
+        # a Gram within 1/2 of I has its eigenvalues in [1/2, 3/2]; the
+        # comparison is false for a non-finite first pass, which falls back
+        if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
+            return first @ _inverse_cholesky_factor(gram), matrix.shape[1]
+    Q, R = positive_qr(matrix)
+    singvals = np.linalg.svd(R, compute_uv=False)
+    return Q, int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix)))
 
 
 def _gram_condition(gram, rinv):
@@ -323,20 +340,20 @@ def _gram_condition(gram, rinv):
 
 
 def qr_rows(matrix, rows):
-    """Rows ``rows`` of cholesky_qr2(matrix), from one Gram product.
+    """Rows ``rows`` of orthonormal_range(matrix)'s Q, from one Gram product.
 
     One CholeskyQR pass gives them as matrix[rows] R^-1 without forming the
     other rows of Q.  Its rounding grows like eps * cond(matrix)^2, so where
     that condition number is estimated above ONE_PASS_MAX_COND, or the Gram
     is not numerically positive definite, the rows come from the full
-    cholesky_qr2 instead.
+    orthonormal_range instead.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     gram = matrix.T @ matrix
     rinv = _inverse_cholesky_factor(gram)
     # inverted comparison so a non-finite estimate takes the two passes too
     if rinv is None or not _gram_condition(gram, rinv) <= ONE_PASS_MAX_COND:
-        return cholesky_qr2(matrix)[rows]
+        return orthonormal_range(matrix)[0][rows]
     return matrix[rows] @ rinv
 
 
@@ -368,7 +385,7 @@ def stiefel_from_rng(rng, dim, k):
     """Haar-uniform orthonormal basis drawn from an existing Generator."""
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    return OrthonormalBasis(cholesky_qr2(rng.standard_normal((dim, k))), check=False)
+    return OrthonormalBasis(orthonormal_range(rng.standard_normal((dim, k)))[0], check=False)
 
 
 def sample_stiefel(dim, k, seed):

@@ -9,7 +9,7 @@ vectors are 1-column blocks.
 import numpy as np
 
 from .errors import ContractViolation
-from .grassmann import OrthonormalBasis, cholesky_qr2, stiefel_from_rng
+from .grassmann import OrthonormalBasis, orthonormal_range, stiefel_from_rng
 from .masks import SparseMask, magnitude_ranking
 
 __all__ = [
@@ -250,7 +250,7 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         blend[rows] += alignment * (supported @ (W @ Vt))
         # per plane it blends two unit vectors at most pi/2 apart, so its
         # singular values are at least 1/sqrt(2) and CholeskyQR2 is safe
-        basis = cholesky_qr2(blend)
+        basis = orthonormal_range(blend)[0]
 
     return PlantedOperator(basis, eigvals)
 

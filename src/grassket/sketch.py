@@ -16,12 +16,9 @@ U and Lambda; ``seigh`` returns the eigenpairs as V = Q U and Lambda.
 unchanged on implicit operators of any size; the measurement maps are dense
 random signs, and all remaining work happens on thin (D x n_outer) or small
 (n_inner x n_inner) matrices.  The range basis of the outer sketch, as in
-the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), comes from
-CholeskyQR2 (Fukaya et al. 2014), two passes of Gram products and
-triangular solves.  Where its Gram certificate fails (rank-deficient or
-badly conditioned sketches) a Householder QR gives the basis instead, and
-the singular values of its small R factor give the numerical rank, which
-``seigh`` reports as a field.
+the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), and its
+numerical rank come from ``grassmann.orthonormal_range``; ``seigh`` reports
+the rank as a field.
 """
 
 import logging
@@ -31,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError
-from .grassmann import OrthonormalBasis, gram_qr
+from .grassmann import OrthonormalBasis, orthonormal_range
 from .masks import magnitude_ranking
 
 __all__ = [
@@ -45,12 +42,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# directions of an outer sketch whose singular value falls below
-# DEGENERATE_COL_RTOL * ||sketch||_F carry no range information; the range
-# basis keeps deterministic orthonormal completions for them and the matching
-# trailing spectral values are reported as exact zeros
-DEGENERATE_COL_RTOL = 1e-14
 
 
 def default_inner_count(n_outer):
@@ -165,27 +156,6 @@ class SketchedEigh:
         return self.vectors @ (self.eigvals[:, None] * (self.vectors.T @ X))
 
 
-def _orthonormal_range(M):
-    """Orthonormal basis for the column span of a sketch block, and its rank.
-
-    CholeskyQR2 (``grassmann.gram_qr``) gives Q when its Gram certificate
-    holds.  That bounds cond(M) by about 1e8, so every singular value of M
-    lies far above DEGENERATE_COL_RTOL * ||M||_F and the rank is n_outer.
-    Otherwise Householder QR gives Q; the singular values of the small square
-    R are those of M, so the directions below DEGENERATE_COL_RTOL * ||M||_F
-    (zero operator, rank-deficient sketches) are counted from them.  Q is
-    already a deterministic orthonormal completion for those directions, so
-    it is not rotated; callers zero the trailing spectral values instead.
-    """
-    Q = gram_qr(M)
-    if Q is not None:
-        return Q, M.shape[1]
-    Q, R = np.linalg.qr(M)
-    singvals = np.linalg.svd(R, compute_uv=False)
-    threshold = DEGENERATE_COL_RTOL * np.linalg.norm(M)
-    return Q, int(np.count_nonzero(singvals > threshold))
-
-
 def _lstsq_minnorm(A, B, what):
     """Minimum-norm least-squares solve of A x = B with the default cutoff.
 
@@ -237,12 +207,14 @@ def seigh(A, ens):
     if ens.n_inner > ens.n_outer:
         M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
 
-    Q, numerical_rank = _orthonormal_range(outer_sketch)
+    Q, numerical_rank = orthonormal_range(outer_sketch)
     core = _core(ens.upsilon, Q, M_inner, ens.omega_full)     # n_o x n_o
 
-    core_norm = np.linalg.norm(core)
+    # rescaled by a power of two so that neither norm overflows or underflows
+    scaled = np.ldexp(core, -np.frexp(np.abs(core).max())[1])
+    core_norm = np.linalg.norm(scaled)
     asymmetry = 0.0 if core_norm == 0 else float(
-        np.linalg.norm(core - core.T) / core_norm
+        np.linalg.norm(scaled - scaled.T) / core_norm
     )
     core = 0.5 * (core + core.T)
 

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from grassket import grassmann
 from grassket.errors import ContractViolation
-from grassket.grassmann import (MetricKind, OrthonormalBasis, PrincipalAngles,
-                                cholesky_qr2, cross_angles, metric, metric_max,
-                                overlap, overlap_baseline, overlap_variance,
-                                positive_qr, principal_angles, qr_rows,
-                                sample_stiefel, similarity, stiefel_from_rng)
+from grassket.grassmann import (DEGENERATE_COL_RTOL, MetricKind, OrthonormalBasis,
+                                PrincipalAngles, cross_angles, metric, metric_max,
+                                orthonormal_range, overlap, overlap_baseline,
+                                overlap_variance, positive_qr, principal_angles,
+                                qr_rows, sample_stiefel, similarity, stiefel_from_rng)
 from grassket.masks import mask_basis, mask_from_rng
 
 ALL_KINDS = list(MetricKind)
@@ -174,7 +174,7 @@ def test_sample_stiefel_column_marginal_isotropic():
 @pytest.mark.parametrize("dim,k", [(48, 8), (2048, 102), (2048, 819), (24, 24), (15, 15)])
 def test_stiefel_from_rng_is_the_householder_basis(dim, k):
     basis = stiefel_from_rng(np.random.default_rng(0), dim, k).columns
-    householder = positive_qr(np.random.default_rng(0).standard_normal((dim, k)))
+    householder = positive_qr(np.random.default_rng(0).standard_normal((dim, k)))[0]
     assert np.abs(basis - householder).max() <= 1e-13
     assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
 
@@ -190,7 +190,7 @@ def test_cholesky_qr2_falls_back_on_rank_deficient_input(monkeypatch, rows, cols
         return positive_qr(m)
 
     monkeypatch.setattr(grassmann, "positive_qr", spy)
-    q = cholesky_qr2(matrix)
+    q = orthonormal_range(matrix)[0]
     assert calls == [(rows, cols)]
     assert q.shape == (rows, cols)
     assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-14
@@ -204,11 +204,35 @@ def test_cholesky_qr2_on_ill_conditioned_input():
     rng = np.random.default_rng(5)
     for exponent in range(2, 13, 2):
         singular = np.logspace(0, -exponent, 8)
-        matrix = (positive_qr(rng.standard_normal((50, 8))) * singular
-                  @ positive_qr(rng.standard_normal((8, 8))))
-        q = cholesky_qr2(matrix)
+        matrix = (positive_qr(rng.standard_normal((50, 8)))[0] * singular
+                  @ positive_qr(rng.standard_normal((8, 8)))[0])
+        q = orthonormal_range(matrix)[0]
         assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-14
-        assert np.abs(q - positive_qr(matrix)).max() <= 1e-15 * 10.0**exponent
+        assert np.abs(q - positive_qr(matrix)[0]).max() <= 1e-15 * 10.0**exponent
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(40, 6, 3), (30, 30, 29), (12, 5, 1), (20, 4, 0)])
+def test_fallback_rank_counts_the_householder_singular_values(rows, cols, rank):
+    rng = np.random.default_rng(rank)
+    matrix = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    singvals = np.linalg.svd(np.linalg.qr(matrix, mode="r"), compute_uv=False)
+    expected = np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix))
+    assert expected == rank
+    assert orthonormal_range(matrix)[1] == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [-600, 600])
+@pytest.mark.parametrize("rank", [3, 6])
+def test_power_of_two_scale_changes_no_bit_of_the_range(exponent, rank):
+    # rank 3 of 6 columns takes the Householder fallback, rank 6 CholeskyQR2;
+    # at 2^600 the unscaled Gram sums overflowed products of both signs
+    rng = np.random.default_rng(rank)
+    matrix = rng.standard_normal((400, rank)) @ rng.standard_normal((rank, 6))
+    q, r = orthonormal_range(matrix)
+    scaled_q, scaled_r = orthonormal_range(np.ldexp(matrix, exponent))
+    assert np.array_equal(scaled_q, q)
+    assert scaled_r == r == rank
 
 
 @settings(max_examples=80, deadline=None)
@@ -219,7 +243,7 @@ def test_one_draw_rows_match_the_full_basis(dim, fraction, seed):
     rng = np.random.default_rng(seed)
     gaussian = rng.standard_normal((dim, k))
     mask = mask_from_rng(rng, dim, k)
-    full = OrthonormalBasis(cholesky_qr2(gaussian), check=False)
+    full = OrthonormalBasis(orthonormal_range(gaussian)[0], check=False)
     cross = qr_rows(gaussian, mask.indices)
     assert np.sum(cross * cross) / k == pytest.approx(
         overlap(mask_basis(mask), full), abs=1e-12)

@@ -11,6 +11,20 @@ import pytest
 
 import grassket
 
+# Library definitions that no CLI path reaches, each with its planned caller
+# from ROADMAP item 13; a module stands for all of its definitions.  A new
+# unreached definition fails test_only_listed_definitions_are_unreached
+# until it is listed here.
+UNREACHED = {
+    "proxies": "item 3, slice 2: features of the trained MLP's loss Hessian",
+    "sketch.load_sketched_eigh": "item 2: curve reads a saved decomposition",
+    "sketch._json_number": "item 2, through load_sketched_eigh",
+    "operators.CountingOperator": "item 7: applied-column counts in the run record",
+    "sketch.residual_probe_norms": "item 5: curvature the top-k eigenspace holds",
+    "masks.mask_eigenspace_overlap": "the README library example and perfbench",
+    "masks.topk_magnitude_mask": "the README library example and perfbench",
+}
+
 
 def test_public_names_resolve():
     modules = [importlib.import_module(f"grassket.{info.name}")
@@ -83,3 +97,32 @@ def test_package_version_matches_pyproject():
     project = re.search(r"^\[project\]$(.*?)^\[", pyproject.read_text(encoding="utf-8"),
                         re.M | re.S).group(1)
     assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [grassket.__version__]
+
+
+def test_only_listed_definitions_are_unreached_from_the_cli():
+    # name reachability over top-level functions, classes and constants:
+    # a definition is reached when a reached one, or any code of cli, names it
+    references, roots = {}, set()
+    for path in sorted(Path(grassket.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                     [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)])
+            named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            references.update({(path.stem, name): named for name in names
+                               if not name.startswith("__")})
+            if path.stem == "cli":
+                roots |= named
+    reached, frontier = set(), roots
+    while frontier:
+        new = {key for key in references if key[1] in frontier} - reached
+        reached |= new
+        frontier = set().union(set(), *(references[key] for key in new))
+    unreached = set(references) - reached
+    modules = {module for module, _ in references}
+    whole = {module for module in modules
+             if {key for key in references if key[0] == module} <= unreached}
+    listed = whole | {f"{module}.{name}" for module, name in unreached if module not in whole}
+    assert listed == set(UNREACHED)

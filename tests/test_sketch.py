@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from grassket.errors import IntegrityError
-from grassket.grassmann import OrthonormalBasis, overlap
+from grassket.grassmann import DEGENERATE_COL_RTOL, OrthonormalBasis, overlap
 from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
-from grassket.sketch import (DEGENERATE_COL_RTOL, SketchedEigh, draw_measurements,
-                             load_sketched_eigh, residual_probe_norms,
-                             save_sketched_eigh, seigh)
+from grassket.sketch import (SketchedEigh, draw_measurements, load_sketched_eigh,
+                             residual_probe_norms, save_sketched_eigh, seigh)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +237,34 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
     assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n_outer)).max() <= 1e-13
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_seigh_at_extreme_operator_scales(exponent):
+    # the Gram of the sketch and its norm would over- or underflow unscaled
+    def run(scale):
+        op = make_planted_operator(200, scale * np.arange(5, 0, -1.0), None, 0.0, 0)
+        return seigh(op, draw_measurements(200, 21, 10, 0))
+
+    scale = 2.0 ** exponent
+    reference = run(1.0)
+    dec = run(scale)
+    assert dec.numerical_rank == reference.numerical_rank == 5
+    np.testing.assert_allclose(dec.eigvals / scale, reference.eigvals, rtol=1e-12)
+    assert np.isfinite(dec.core_asymmetry)
+
+
+@pytest.mark.filterwarnings("error")
+def test_seigh_of_a_rank_one_operator_near_the_float_maximum():
+    dec = seigh(DenseOperator(np.full((20, 20), 1e300)), draw_measurements(20, 5, 2, 0))
+    assert dec.numerical_rank == 1
+    assert dec.eigvals[0] == pytest.approx(2e301, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# truncation
+# reconstruction and eigenbasis access
 
 
-def test_truncate_exact_rank_reconstruction():
+def test_exact_rank_reconstruction():
     # the eigenvalues past numerical rank 10 are exact zeros
     mask = SparseMask(90, np.arange(10))
     op = make_planted_operator(90, np.arange(10, 0, -1.0), mask, 0.5, seed=7)
@@ -252,7 +274,7 @@ def test_truncate_exact_rank_reconstruction():
     assert err <= 1e-8 * np.linalg.norm(dense)
 
 
-def test_truncate_to_single_eigenpair():
+def test_leading_eigenpair_of_an_exact_rank_operator():
     # exact-rank setting, so the leading eigenpair is recovered sharply
     diag = np.concatenate([np.arange(10, 0, -1.0), np.zeros(90)])
     op = DenseOperator(np.diag(diag))
@@ -262,7 +284,7 @@ def test_truncate_to_single_eigenpair():
     assert abs(vec[0]) >= 1 - 1e-8
 
 
-def test_truncate_range_check():
+def test_eigenbasis_range_check():
     op = DenseOperator(np.diag(np.arange(8, 0, -1.0)))
     dec = seigh(op, draw_measurements(8, 7, 3, seed=1))
     with pytest.raises(ValueError):
