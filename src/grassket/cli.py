@@ -92,58 +92,46 @@ _PLANTED_ONLY = ("planted_rank", "eigvals", "planted_alignment", "planted_seed",
                  "mask_indices")
 
 
-def _planted_from_args(args):
+def _operator_from_args(args):
+    """(operator, target mask) of a decompose or curve run: the stored matrix
+    of ``--dense-store`` with no mask, or a planted operator and its mask."""
     # resolved in place so config.json records the values the run used
+    if args.n_inner is None:
+        args.n_inner = sketch.default_inner_count(args.n_outer)
+    if getattr(args, "dense_store", None) is not None:  # curve has no such flag
+        given = ", ".join("--" + name.replace("_", "-") for name in _PLANTED_ONLY
+                          if getattr(args, name) is not None)
+        if given:
+            raise ValueError(f"--dense-store does not take {given}")
+        return DenseOperator.from_store(args.dense_store), None
     if args.planted_alignment is None:
         args.planted_alignment = 0.0
     if args.planted_seed is None:
         args.planted_seed = 0
-    rank = args.planted_rank
     if args.eigvals is not None:
         eigvals = np.asarray(_float_list(args.eigvals))
-        rank = len(eigvals)
+    elif args.planted_rank is not None:
+        eigvals = np.arange(args.planted_rank, 0, -1, dtype=np.float64)
     else:
-        if rank is None:
-            raise ValueError("either --planted-rank or --eigvals is required")
-        eigvals = np.arange(rank, 0, -1, dtype=np.float64)
-    if args.mask_indices is not None:
-        mask = SparseMask(args.planted_dim, _int_list(args.mask_indices))
-    else:
-        mask = SparseMask(args.planted_dim, np.arange(rank))
+        raise ValueError("either --planted-rank or --eigvals is required")
+    mask = SparseMask(args.planted_dim, np.arange(len(eigvals)) if args.mask_indices is None
+                      else _int_list(args.mask_indices))
     op = make_planted_operator(args.planted_dim, eigvals, mask,
                                args.planted_alignment, args.planted_seed)
     return op, mask
 
 
-def _resolve_n_inner(args):
-    # resolved in place so config.json records the count the run used
-    if args.n_inner is None:
-        args.n_inner = sketch.default_inner_count(args.n_outer)
-    return args.n_inner
-
-
 def cmd_decompose(args):
-    if args.dense_store is not None:
-        given = [name for name in _PLANTED_ONLY if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValueError(f"--dense-store does not take {flags}")
-        op = DenseOperator.from_store(args.dense_store)
-    else:
-        if args.planted_dim is None:
-            raise ValueError("provide --dense-store or --planted-dim")
-        op, _ = _planted_from_args(args)
-    n_inner = _resolve_n_inner(args)
-    ensemble = draw_measurements(op.dim, n_inner, args.n_outer, args.seed)
-    decomposition = seigh(op, ensemble)
+    op, _ = _operator_from_args(args)
+    decomposition = seigh(op, draw_measurements(op.dim, args.n_inner, args.n_outer, args.seed))
     out = _write_config(args)
     sketch.save_sketched_eigh(
         decomposition, out / "decomposition",
-        metadata={"n_inner": n_inner, "n_outer": args.n_outer, "seed": args.seed},
+        metadata={"n_inner": args.n_inner, "n_outer": args.n_outer, "seed": args.seed},
     )
     _write_table(out / "eigvals.csv", ["index", "eigval"],
                  enumerate(decomposition.eigvals),
-                 comment={"seed": args.seed, "n_outer": args.n_outer, "n_inner": n_inner,
+                 comment={"seed": args.seed, "n_outer": args.n_outer, "n_inner": args.n_inner,
                           "numerical_rank": decomposition.numerical_rank})
     logger.info("decomposition written to %s", out)
     return EXIT_OK
@@ -166,14 +154,11 @@ def cmd_baseline(args):
 
 
 def cmd_curve(args):
-    if args.planted_dim is None:
-        raise ValueError("curve needs --planted-dim")
-    op, mask = _planted_from_args(args)
-    n_inner = _resolve_n_inner(args)
+    op, mask = _operator_from_args(args)
     if args.top_k is None:
         args.top_k = min(args.n_outer, op.unique_rank)
     theta = experiments.ranked_theta(op.dim, mask.indices, args.theta_seed)
-    curve = experiments.overlap_curve(op, theta, args.n_outer, n_inner,
+    curve = experiments.overlap_curve(op, theta, args.n_outer, args.n_inner,
                                       args.top_k, args.seed)
     out = _write_config(args)
     _write_table(out / "curve.csv", ["k", "exact", "sketched", "baseline", "ratio"],
@@ -239,11 +224,12 @@ def build_parser():
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or grassket-out)")
         p.add_argument("--seed", type=int, default=0, help="run seed")
 
-    def add_planted(p, dim_group):
+    def add_planted(p, source):
         # only one flag of each exclusive pair can take effect, so giving
-        # both is a usage error (exit 1) rather than a silently ignored value
-        dim_group.add_argument("--planted-dim", type=int, default=None,
-                               help="ambient dimension of the planted operator")
+        # both is a usage error (exit 1) rather than a silently ignored value;
+        # source is decompose's required group of sources, or curve's parser
+        source.add_argument("--planted-dim", type=int, default=None, required=source is p,
+                            help="ambient dimension of the planted operator")
         spectrum = p.add_mutually_exclusive_group()
         spectrum.add_argument("--planted-rank", type=int, default=None,
                               help="planted rank (eigenvalues default to rank..1)")
@@ -258,17 +244,20 @@ def build_parser():
         p.add_argument("--mask-indices", default=None,
                        help="comma-separated target mask (default: 0..rank-1)")
 
-    p = sub.add_parser("decompose", help="sketched eigendecomposition", parents=[])
+    def add_sketch(p):
+        p.add_argument("--n-outer", type=int, required=True,
+                       help="number of outer measurements (recovered rank)")
+        p.add_argument("--n-inner", type=int, default=None,
+                       help="number of inner measurements (default 2*n_outer + 1)")
+
+    p = sub.add_parser("decompose", help="sketched eigendecomposition")
     add_common(p)
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     add_planted(p, source)
     source.add_argument("--dense-store", default=None,
                         help="path of a stored dense symmetric matrix to decompose "
                              "(instead of --planted-dim)")
-    p.add_argument("--n-outer", type=int, required=True,
-                   help="number of outer measurements (recovered rank)")
-    p.add_argument("--n-inner", type=int, default=None,
-                   help="number of inner measurements (default 2*n_outer + 1)")
+    add_sketch(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("baseline", help="random-subspace similarity grid")
@@ -287,8 +276,7 @@ def build_parser():
     p = sub.add_parser("curve", help="exact vs sketched overlap curve")
     add_common(p)
     add_planted(p, p)
-    p.add_argument("--n-outer", type=int, required=True)
-    p.add_argument("--n-inner", type=int, default=None)
+    add_sketch(p)
     p.add_argument("--top-k", type=int, default=None,
                    help="largest mask size (default min(n_outer, planted rank); "
                         "the planted rank counts nonzero eigenvalues)")

@@ -349,10 +349,13 @@ def qr_rows(matrix, rows):
     orthonormal_range instead.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    gram = matrix.T @ matrix
-    rinv = _inverse_cholesky_factor(gram)
-    # inverted comparison so a non-finite estimate takes the two passes too
-    if rinv is None or not _gram_condition(gram, rinv) <= ONE_PASS_MAX_COND:
+    # a Gram past the float range is not finite; the fallback rescales
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix.T @ matrix
+        rinv = _inverse_cholesky_factor(gram)
+        # inverted comparison so a non-finite estimate takes the two passes too
+        one_pass = rinv is not None and _gram_condition(gram, rinv) <= ONE_PASS_MAX_COND
+    if not one_pass:
         return orthonormal_range(matrix)[0][rows]
     return matrix[rows] @ rinv
 

@@ -353,12 +353,12 @@ def read_columns(source, col_start, n_cols):
     handle = open_any(source)
     col_start, n_cols = int(col_start), int(n_cols)
     pieces = _pieces(handle, col_start, n_cols)
-    # a manifest or merged header can claim more rows than its files hold:
-    # refuse before allocating, and again after each read, since a file can
-    # shrink in between
-    for spec, *_ in pieces:
-        if handle.chunk_path(spec).stat().st_size < handle.chunk_end(spec):
-            raise IntegrityError(f"{handle.path}: {handle.describe(spec)} is truncated")
+    # the files read from must pass merge's and verify_store's size rule:
+    # refuse before allocating, and check each read's length too, since a
+    # file can shrink in between
+    issues = _structural_issues(handle, [spec for spec, *_ in pieces])
+    if issues:
+        raise IntegrityError(f"{handle.path}: " + "; ".join(issues))
     out = np.empty((handle.rows, n_cols), dtype=DTYPE, order="F")
     flat = out.reshape(-1, order="F")  # a view: each column range is one byte run
     for spec, lo, hi, position in pieces:
@@ -375,11 +375,16 @@ def read_matrix(source):
     return read_columns(handle, 0, handle.cols)
 
 
-def _structural_issues(handle):
-    """Missing files, or files that do not end where their last chunk ends."""
-    last = {handle.chunk_path(spec): spec for spec in handle.chunks}  # grid order
+def _structural_issues(handle, chunks=None):
+    """Missing files, or files that do not end where their last chunk ends.
+
+    Only the files that hold ``chunks`` are checked, by default every file.
+    """
+    chunks = handle.chunks if chunks is None else chunks
+    # a merged file holds every chunk, so it ends where the grid's last one does
     issues = []
-    for chunk_file, spec in last.items():
+    for spec in handle.chunks[-1:] if handle.merged else chunks:
+        chunk_file = handle.chunk_path(spec)
         if not chunk_file.exists():
             issues.append(f"missing chunk file: {spec.file}")
             continue
@@ -388,7 +393,8 @@ def _structural_issues(handle):
         if size != end:
             # counted from column 0, so a merged file reports its data segment
             what = "data segment" if handle.merged else f"chunk {spec.file}"
-            issues.append(f"{what}: {size - handle.data_offset} bytes, "
+            issues.append(f"{what} is {'truncated' if size < end else 'too long'}: "
+                          f"{size - handle.data_offset} bytes, "
                           f"expected {end - handle.data_offset}")
     return issues
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import tempfile
@@ -95,10 +96,8 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
       "--top-k", 8], "exceeds the planted rank 5"),
     (["baseline", "--dims", "64,0"], "dimension must be positive"),
     (["baseline", "--dims=-5"], "dimension must be positive"),
-    (["curve", "--planted-rank", 5, "--n-outer", 10], "--planted-dim"),
 ], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
-        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim",
-        "curve-without-planted-dim"])
+        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim"])
 def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1
@@ -121,6 +120,21 @@ def test_flags_that_exclude_each_other_are_refused(tmp_path, capsys, args):
         run(args + ["--output-dir", out])
     assert info.value.code == 1
     assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["curve", "--planted-rank", 5, "--n-outer", 10],
+     "the following arguments are required: --planted-dim"),
+    (["decompose", "--planted-rank", 5, "--n-outer", 10],
+     "one of the arguments --planted-dim --dense-store is required"),
+], ids=["curve-without-planted-dim", "decompose-without-source"])
+def test_missing_source_is_refused_by_argparse(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run(args + ["--output-dir", out])
+    assert info.value.code == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -523,6 +537,55 @@ def test_help_documents_flags(capsys):
         text = capsys.readouterr().out
         for flag in expected:
             assert flag in text
+
+
+@pytest.mark.parametrize("command", ["decompose", "curve"])
+def test_help_describes_sketch_flags(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert "--n-outer N_OUTER number of outer measurements (recovered rank)" in text
+    assert "--n-inner N_INNER number of inner measurements (default 2*n_outer + 1)" in text
+
+
+# Every subcommand's option strings, help aside; adding or dropping a flag
+# fails test_subcommand_option_strings_are_pinned until it is updated here.
+OPTION_STRINGS = {
+    "decompose": {"--output-dir", "--seed", "--planted-dim", "--planted-rank", "--eigvals",
+                  "--planted-alignment", "--planted-seed", "--mask-indices",
+                  "--dense-store", "--n-outer", "--n-inner"},
+    "baseline": {"--output-dir", "--seed", "--dims", "--rhos", "--modalities", "--metrics",
+                 "--samples"},
+    "curve": {"--output-dir", "--seed", "--planted-dim", "--planted-rank", "--eigvals",
+              "--planted-alignment", "--planted-seed", "--mask-indices", "--n-outer",
+              "--n-inner", "--top-k", "--theta-seed"},
+    "verify": {"--output-dir", "--seed", "--samples"},
+    "store create": {"--path", "--rows", "--cols", "--chunk-cols", "--fill-seed",
+                     "--overwrite"},
+    "store merge": {"--path", "--out", "--overwrite"},
+    "store verify": {"--path"},
+}
+
+
+def option_strings(parser, command=""):
+    """{subcommand: its option strings} for every subcommand without subcommands."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(option_strings(sub, f"{command} {name}".strip()))
+    if found:
+        return found
+    return {command: {option for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings}}
+
+
+def test_subcommand_option_strings_are_pinned():
+    from grassket.cli import build_parser
+
+    assert option_strings(build_parser()) == OPTION_STRINGS
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,16 @@ def test_cholesky_qr2_falls_back_on_rank_deficient_input(monkeypatch, rows, cols
     assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-14
     # one-draw rows of the same matrix come from the fallback too
     assert np.array_equal(qr_rows(matrix, [0, 2]), q[[0, 2]])
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_qr_rows_far_from_unit_scale_falls_back_without_warning(exponent):
+    # the one-pass Gram overflows or underflows; the fallback rescales
+    gaussian = np.random.default_rng(11).standard_normal((400, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = qr_rows(np.ldexp(gaussian, exponent), [0, 1])
+    assert np.abs(rows - qr_rows(gaussian, [0, 1])).max() <= 1e-12
 
 
 def test_cholesky_qr2_on_ill_conditioned_input():

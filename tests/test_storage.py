@@ -298,6 +298,43 @@ def test_rows_past_the_files_are_refused_before_allocating(tmp_path, capsys, row
     assert "ERROR type=io" in capsys.readouterr().err
 
 
+def test_read_refuses_merged_file_with_trailing_bytes(tmp_path, capsys):
+    store = create_layout(tmp_path / "s.store", 6, 6, chunk_cols=2)
+    write_columns(store, 0, np.eye(6))
+    merged = merge(store, tmp_path / "s.mx")
+    with open(merged.path, "ab") as fh:
+        fh.write(bytes(10))
+    # one size rule for reads, merge and verify_store
+    assert verify_store(merged.path) == ["data segment is too long: 298 bytes, expected 288"]
+    with pytest.raises(IntegrityError, match="data segment is too long: 298 bytes"):
+        read_matrix(merged.path)
+    assert main(["decompose", "--output-dir", str(tmp_path / "out"),
+                 "--dense-store", str(merged.path), "--n-outer", "2"]) == 3
+    assert "ERROR type=io" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_read_refuses_truncated_merged_file(tmp_path):
+    store = create_layout(tmp_path / "s.store", 6, 6, chunk_cols=2)
+    write_columns(store, 0, np.eye(6))
+    merged = merge(store, tmp_path / "s.mx")
+    with open(merged.path, "r+b") as fh:
+        fh.truncate(merged.path.stat().st_size - 8)
+    # the columns read lie wholly inside the file, but the file is short
+    with pytest.raises(IntegrityError, match="data segment is truncated: 280 bytes"):
+        read_columns(merged.path, 0, 3)
+
+
+def test_read_refuses_missing_chunk_file(tmp_path):
+    store = create_layout(tmp_path / "s.store", 6, 6, chunk_cols=2)
+    write_columns(store, 0, np.eye(6))
+    (store.path / "chunk-00001.bin").unlink()
+    with pytest.raises(IntegrityError, match="missing chunk file: chunk-00001.bin"):
+        read_columns(store.path, 0, 3)
+    # a read checks only the files it touches
+    assert np.array_equal(read_columns(store.path, 0, 2), np.eye(6)[:, :2])
+
+
 @pytest.mark.parametrize("field, bad", [
     (b'"source_chunk_cols": 2', b'"source_chunk_cols": null'),
     (b'"rows": 4', b'"rows": -4'),
