@@ -16,4 +16,4 @@ from .proxies import (QuadraticObjective, masked_perturbation_expectation,
                       psd_subtrace, sam_feature, squared_hessian_diag)
 from .sketch import MeasurementEnsemble, SketchedEigh, draw_measurements, seigh
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -94,8 +94,9 @@ class BaselineResult:
         raise KeyError(f"no cell ({modality}, {kind}, D={dim}, rho={rho})")
 
 
-def _pair_sample(modality, kind, rng, dim, k):
-    """One similarity sample of a random pair of rank-k subspaces of R^dim.
+def _pair_sample(modality, kinds, rng, dim, k):
+    """One similarity sample per metric in ``kinds``, all read off one random
+    pair of rank-k subspaces of R^dim.
 
     By rotation invariance one Haar basis against a fixed coordinate span has
     the overlap and angle law of two independent Haar bases, and every k-row
@@ -103,24 +104,27 @@ def _pair_sample(modality, kind, rng, dim, k):
     product of a Haar basis with the leading k coordinates from
     ``grassmann.haar_rows``, which draws O(k^2) numbers in place of a D x k
     Gaussian.  Mask pairs need no embedding: they share |m1 & m2| zero
-    angles and the rest are right angles.
+    angles and the rest are right angles.  The overlap comes straight from
+    the cross product or the shared count; the principal angles are formed
+    once, and only when a metric other than overlap is asked for.
     """
+    needs_angles = any(kind is not MetricKind.OVERLAP for kind in kinds)
     if k == dim:
         # every pair spans the whole space: overlap exactly 1, zero angles
-        angles = PrincipalAngles(np.zeros(k))
+        overlap, angles = 1.0, PrincipalAngles(np.zeros(k))
     elif modality == "MM":
         shared = np.intersect1d(mask_from_rng(rng, dim, k).indices,
                                 mask_from_rng(rng, dim, k).indices,
                                 assume_unique=True).size
-        if kind is MetricKind.OVERLAP:
-            return shared / k
-        angles = PrincipalAngles(np.repeat([0.0, np.pi / 2], [shared, k - shared]))
+        overlap = shared / k
+        angles = (PrincipalAngles(np.repeat([0.0, np.pi / 2], [shared, k - shared]))
+                  if needs_angles else None)
     else:
         cross = haar_rows(rng, dim, k)
-        if kind is MetricKind.OVERLAP:
-            return float(np.sum(cross * cross) / k)
-        angles = cross_angles(cross)
-    return similarity(kind, metric(kind, angles), k)
+        overlap = float(np.sum(cross * cross) / k)
+        angles = cross_angles(cross) if needs_angles else None
+    return [overlap if kind is MetricKind.OVERLAP
+            else similarity(kind, metric(kind, angles), k) for kind in kinds]
 
 
 @cache
@@ -142,8 +146,8 @@ def _openblas_thread_setter():
     return None
 
 
-def _sample_pairs(modality, kind, rng, dim, k, samples):
-    """``samples`` draws of ``_pair_sample`` as an array.
+def _sample_pairs(modality, kinds, rng, dim, k, samples):
+    """``samples`` draws of ``_pair_sample``, one row of samples per metric.
 
     The calling thread runs them on one BLAS thread while k <=
     ``ONE_THREAD_MAX_K`` and numpy's OpenBLAS has a per-thread setting; its
@@ -152,30 +156,42 @@ def _sample_pairs(modality, kind, rng, dim, k, samples):
     setter = _openblas_thread_setter() if k <= ONE_THREAD_MAX_K else None
     previous = setter(1) if setter is not None else None
     try:
-        return np.array([_pair_sample(modality, kind, rng, dim, k)
-                         for _ in range(samples)])
+        draws = [_pair_sample(modality, kinds, rng, dim, k) for _ in range(samples)]
     finally:
         if setter is not None:
             setter(previous)
+    # contiguous rows, so each metric's statistics read a plain 1-d array
+    return np.array(draws).T.copy()
 
 
 def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     """Sample similarity distributions over the requested grid.
 
-    Every (D, rho, metric, modality) cell draws its own ``samples``
-    independent pairs from a dedicated child stream of ``seed``, so cells are
-    independent jobs.  The result is reproducible bit for bit at a fixed BLAS
-    thread count: cells with k > ``ONE_THREAD_MAX_K`` run at default threads
-    (see ``_sample_pairs``), and their Gram products round differently on one
-    thread and on two.  A pair with a Haar side costs O(k^2) random numbers
-    and the Gram product of a stand-in of at most 2k rows (``_pair_sample``).
+    Every (D, rho, modality) group draws ``samples`` independent pairs, and
+    every requested metric reads its row off those same pairs, so the rows
+    of one group are not independent of each other; groups are.  Child
+    stream i of ``seed`` belongs to the i-th (D, rho, metric, modality) cell
+    in row order, and a group draws from the stream of its first-metric
+    cell: the first metric's rows are the ones that cell gives when it draws
+    on its own.  Duplicate grid entries and out-of-range values are refused
+    before any pair is drawn.  The result is reproducible bit for bit at a
+    fixed BLAS thread count: groups with k > ``ONE_THREAD_MAX_K`` run at
+    default threads (see ``_sample_pairs``), and their Gram products round
+    differently on one thread and on two.  A pair with a Haar side costs
+    O(k^2) random numbers and the Gram product of a stand-in of at most 2k
+    rows (``_pair_sample``).
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
     metrics = [MetricKind(m) for m in metrics]
     modalities = [str(m) for m in modalities]
-    if not dim_grid or not rho_grid or not metrics or not modalities:
-        raise ValueError("all grids must be nonempty")
+    grids = {"dimension": dim_grid, "rho": rho_grid, "modality": modalities,
+             "metric": [kind.value for kind in metrics]}
+    for name, grid in grids.items():
+        if not grid:
+            raise ValueError("all grids must be nonempty")
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"{name} grid {grid} repeats an entry")
     if min(dim_grid) < 1:
         raise ValueError(f"dimension must be positive, got {min(dim_grid)}")
     for m in modalities:
@@ -184,23 +200,25 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     samples = int(samples)
     if samples < 2:
         raise ValueError("need at least 2 samples per cell")
+    points = [(dim, rho, rho_to_k(dim, rho)) for dim in dim_grid for rho in rho_grid]
 
-    cells = [(d, rho, kind, modality)
-             for d in dim_grid for rho in rho_grid
-             for kind in metrics for modality in modalities]
-    streams = np.random.SeedSequence(seed).spawn(len(cells))
-
+    block = len(metrics) * len(modalities)
+    streams = np.random.SeedSequence(seed).spawn(len(points) * block)
     rows = []
-    for (dim, rho, kind, modality), stream in zip(cells, streams):
-        rng = np.random.default_rng(stream)
-        k = rho_to_k(dim, rho)
-        values = _sample_pairs(modality, kind, rng, dim, k, samples)
-        p5, median, p95 = np.percentile(values, [5.0, 50.0, 95.0])
-        rows.append(BaselineRow(
-            modality=modality, metric=kind.value, dim=dim, k=k, rho=rho,
-            samples=samples, median=float(median), p5=float(p5), p95=float(p95),
-            mean=float(np.mean(values)), std=float(np.std(values, ddof=1)),
-        ))
+    for index, (dim, rho, k) in enumerate(points):
+        first = streams[index * block:index * block + len(modalities)]
+        values = [_sample_pairs(modality, metrics, np.random.default_rng(stream),
+                                dim, k, samples)
+                  for modality, stream in zip(modalities, first)]
+        for j, kind in enumerate(metrics):
+            for modality, sampled in zip(modalities, values):
+                column = sampled[j]
+                p5, median, p95 = np.percentile(column, [5.0, 50.0, 95.0])
+                rows.append(BaselineRow(
+                    modality=modality, metric=kind.value, dim=dim, k=k, rho=rho,
+                    samples=samples, median=float(median), p5=float(p5), p95=float(p95),
+                    mean=float(np.mean(column)), std=float(np.std(column, ddof=1)),
+                ))
     return BaselineResult(rows=rows, seed=int(seed))
 
 
@@ -227,7 +245,7 @@ def verify_lemma(dim, k, samples, seed):
     if samples < 30:
         raise ValueError("need at least 30 samples for a meaningful standard error")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    values = _sample_pairs("OO", MetricKind.OVERLAP, rng, dim, k, samples)
+    values = _sample_pairs("OO", [MetricKind.OVERLAP], rng, dim, k, samples)[0]
     mean = float(np.mean(values))
     stderr = float(np.sqrt(overlap_variance(dim, k) / samples))
     if stderr > 0:

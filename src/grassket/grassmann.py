@@ -17,6 +17,7 @@ Bartlett factor.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -360,6 +361,20 @@ def qr_rows(matrix, rows):
     return matrix[rows] @ rinv
 
 
+@lru_cache(maxsize=16)
+def _strict_upper(m, k):
+    """Read-only m x k mask of the entries above the diagonal.
+
+    Assigning through it fills them in row-major order, the order of
+    ``np.triu_indices(m, 1, k)``.  A baseline grid asks for the same few
+    shapes once per sample; the LRU bound keeps at most 16 masks of one
+    byte an entry.
+    """
+    mask = np.triu(np.ones((m, k), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def haar_rows(rng, dim, k):
     """The leading k rows of a Haar-uniform dim x k basis, from O(k^2) numbers.
 
@@ -379,7 +394,7 @@ def haar_rows(rng, dim, k):
     standin = np.zeros((k + m, k))
     standin[:k] = rng.standard_normal((k, k))
     factor = standin[k:]
-    factor[np.triu_indices(m, 1, k)] = rng.standard_normal(m * k - m * (m + 1) // 2)
+    factor[_strict_upper(m, k)] = rng.standard_normal(m * k - m * (m + 1) // 2)
     factor[np.diag_indices(m)] = np.sqrt(rng.chisquare(dim - k - np.arange(m)))
     return qr_rows(standin, np.arange(k))
 

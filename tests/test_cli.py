@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import tempfile
@@ -96,14 +98,76 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
       "--top-k", 8], "exceeds the planted rank 5"),
     (["baseline", "--dims", "64,0"], "dimension must be positive"),
     (["baseline", "--dims=-5"], "dimension must be positive"),
+    (["baseline", "--metrics", "overlap,overlap"],
+     "metric grid ['overlap', 'overlap'] repeats an entry"),
 ], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
-        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim"])
+        "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim",
+        "baseline-duplicate-metric"])
 def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1
     err = capsys.readouterr().err
     assert "ERROR type=usage" in err and message in err
     assert not out.exists()
+
+
+def _with_one_bad(good, bad):
+    """Comma-separated lists of up to two values of ``good`` with one value of
+    ``bad`` among them."""
+    return st.tuples(st.lists(good, max_size=2), bad, st.integers(0, 2)).map(
+        lambda t: ",".join(map(str, t[0][:t[2]] + [t[1]] + t[0][t[2]:])))
+
+
+def _with_a_repeat(good):
+    """Comma-separated lists of ``good`` values whose first value comes twice."""
+    return st.lists(good, min_size=1, max_size=3).flatmap(
+        lambda values: st.permutations(values + values[:1])).map(
+        lambda values: ",".join(map(str, values)))
+
+
+GOOD_BASELINE_VALUES = {
+    "dims": st.integers(1, 24),
+    "rhos": st.floats(0.0, 1.0, exclude_min=True),
+    "modalities": st.sampled_from(experiments.MODALITIES),
+    "metrics": st.sampled_from([kind.value for kind in MetricKind]),
+}
+_NAME = st.text("OMXovelapr_", min_size=1, max_size=8)
+BAD_BASELINE_VALUES = {
+    "samples-below-two": ("samples", st.integers(max_value=1)),
+    "rho-outside-unit-interval": ("rhos", _with_one_bad(
+        GOOD_BASELINE_VALUES["rhos"],
+        st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
+        | st.just(float("nan")))),
+    "dimension-below-one": ("dims", _with_one_bad(GOOD_BASELINE_VALUES["dims"],
+                                                  st.integers(max_value=0))),
+    "unknown-modality": ("modalities", _with_one_bad(
+        GOOD_BASELINE_VALUES["modalities"],
+        _NAME.filter(lambda name: name not in experiments.MODALITIES))),
+    "unknown-metric": ("metrics", _with_one_bad(
+        GOOD_BASELINE_VALUES["metrics"],
+        _NAME.filter(lambda name: name not in {kind.value for kind in MetricKind}))),
+    **{f"empty-{flag}": (flag, st.sampled_from(["", ",", " , "]))
+       for flag in GOOD_BASELINE_VALUES},
+    **{f"duplicate-{flag}": (flag, _with_a_repeat(good))
+       for flag, good in GOOD_BASELINE_VALUES.items()},
+}
+
+
+@pytest.mark.parametrize("flag, values", BAD_BASELINE_VALUES.values(),
+                         ids=BAD_BASELINE_VALUES.keys())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_bad_baseline_flag_value_is_a_usage_error(flag, values, data):
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["baseline", "--output-dir", out, "--dims", 16, "--rhos", 0.25,
+                        "--modalities", "OO,MM", "--samples", 3, f"--{flag}={value}"])
+        assert code == 1
+        assert "ERROR type=usage" in err.getvalue()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,90 @@ def test_run_baseline_validation():
     for dim in (0, -5):
         with pytest.raises(ValueError, match=f"dimension must be positive, got {dim}"):
             run_baseline([16, dim], [0.1], ["OO"], [MetricKind.OVERLAP], 5, 0)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (dict(dim_grid=[16, 32, 16]), "dimension grid [16, 32, 16] repeats an entry"),
+    (dict(rho_grid=[0.25, 0.5, 0.250]), "rho grid [0.25, 0.5, 0.25] repeats an entry"),
+    (dict(modalities=["OO", "MM", "OO"]), "modality grid ['OO', 'MM', 'OO'] repeats"),
+    (dict(metrics=["overlap", MetricKind.OVERLAP]), "metric grid ['overlap', 'overlap']"),
+    (dict(rho_grid=[0.25, 1.5]), "rho must lie in (0, 1], got 1.5"),
+], ids=["dims", "rhos", "modalities", "metrics", "rho-out-of-range"])
+def test_run_baseline_refuses_a_bad_grid_before_drawing(monkeypatch, grid, message):
+    # a repeated entry would give two conflicting rows of one cell, and
+    # BaselineResult.cell would silently return the first
+    def no_draws(*args):
+        raise AssertionError("a refused grid drew pairs")
+
+    monkeypatch.setattr(experiments, "_sample_pairs", no_draws)
+    kwargs = dict(dim_grid=[16, 32], rho_grid=[0.25, 0.5], modalities=["OO", "MM"],
+                  metrics=[MetricKind.OVERLAP, MetricKind.GEODESIC], samples=3, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_baseline(**{**kwargs, **grid})
+
+
+def test_metrics_of_one_group_read_the_same_pairs():
+    # projF similarity is 1 - |sin sigma| / sqrt(k) = 1 - sqrt(1 - overlap), an
+    # increasing map, so on shared pairs the medians of an odd sample count,
+    # each one sample, correspond exactly
+    result = run_baseline([60], [0.2], ["OO", "OM", "MM"],
+                          [MetricKind.OVERLAP, MetricKind.PROJECTION_F], samples=11, seed=6)
+    for modality in ("OO", "OM", "MM"):
+        overlap_median = result.cell(modality, MetricKind.OVERLAP, 60, 0.2).median
+        projf_median = result.cell(modality, MetricKind.PROJECTION_F, 60, 0.2).median
+        assert projf_median == pytest.approx(1.0 - np.sqrt(1.0 - overlap_median), abs=1e-12)
+
+
+def test_first_metric_rows_are_drawn_as_by_their_own_cell():
+    # reference: every (D, rho, metric, modality) cell draws its own pairs
+    # from child stream i of the seed, i its place in row order
+    def own_cells(modalities, metrics):
+        cells = [(modality, kind, dim, rho) for dim in (48, 96) for rho in (0.1, 0.3)
+                 for kind in metrics for modality in modalities]
+        streams = np.random.SeedSequence(8).spawn(len(cells))
+        stats = {}
+        for (modality, kind, dim, rho), stream in zip(cells, streams):
+            values = experiments._sample_pairs(modality, [kind], np.random.default_rng(stream),
+                                               dim, rho_to_k(dim, rho), 7)[0]
+            stats[modality, kind.value, dim, rho] = (
+                float(np.percentile(values, 50.0)), float(np.mean(values)),
+                float(np.std(values, ddof=1)))
+        return stats
+
+    def rows(modalities, metrics):
+        result = run_baseline([48, 96], [0.1, 0.3], modalities, metrics, samples=7, seed=8)
+        return {(r.modality, r.metric, r.dim, r.rho): (r.median, r.mean, r.std)
+                for r in result.rows}
+
+    modalities = ["OO", "OM", "MM"]
+    metrics = [MetricKind.GEODESIC, MetricKind.OVERLAP]
+    shared, reference = rows(modalities, metrics), own_cells(modalities, metrics)
+    for cell, stats in shared.items():
+        if cell[1] == "geodesic":
+            assert stats == reference[cell]
+        else:  # read off the geodesic rows' pairs, not drawn from its own stream
+            assert stats != reference[cell]
+    assert rows(modalities, metrics[:1]) == own_cells(modalities, metrics[:1])
+    assert rows(["MM"], metrics[1:]) == own_cells(["MM"], metrics[1:])
+
+
+def test_run_baseline_draws_one_stand_in_per_pair_whatever_the_metrics(monkeypatch):
+    calls = []
+    real_haar_rows = grassmann.haar_rows
+
+    def spy(rng, dim, k):
+        calls.append((dim, k))
+        return real_haar_rows(rng, dim, k)
+
+    monkeypatch.setattr(experiments, "haar_rows", spy)
+    kinds = [MetricKind.OVERLAP, MetricKind.GEODESIC, MetricKind.PROJECTION_F,
+             MetricKind.FUBINI_STUDY]
+    for count in (1, 2, 4):
+        calls.clear()
+        run_baseline([64, 128], [0.1], ["OO", "OM", "MM"], kinds[:count], samples=5, seed=1)
+        # two (D, rho) points with an OO and an OM group each
+        assert len(calls) == 5 * 4
+        assert calls == [(dim, rho_to_k(dim, 0.1)) for dim in (64, 128) for _ in range(10)]
 
 
 def test_verify_lemma_passes():
@@ -179,7 +264,7 @@ def test_haar_side_pairs_never_draw_the_dimension(monkeypatch):
     monkeypatch.setattr(grassmann, "qr_rows", spy_qr_rows)
     for modality in ("OO", "OM"):
         generators.append(_SpyGenerator(real_default_rng(7)))
-        experiments._pair_sample(modality, MetricKind.GEODESIC, generators[-1], dim, k)
+        experiments._pair_sample(modality, [MetricKind.GEODESIC], generators[-1], dim, k)
     monkeypatch.setattr(np.random, "default_rng", spy_default_rng)
     verify_lemma(dim, k, samples=30, seed=7)
 
@@ -201,10 +286,9 @@ def test_mask_pairs_match_the_dense_embedding_exactly():
         geodesic = metric(MetricKind.GEODESIC, principal_angles(b1, b2))
         dense = {MetricKind.OVERLAP: overlap(b1, b2),
                  MetricKind.GEODESIC: similarity(MetricKind.GEODESIC, geodesic, k)}
-        for kind, value in dense.items():
-            sample = experiments._pair_sample("MM", kind, np.random.default_rng(seed),
-                                              dim, k)
-            assert sample == value
+        samples = experiments._pair_sample("MM", list(dense), np.random.default_rng(seed),
+                                           dim, k)
+        assert samples == list(dense.values())
 
 
 def test_verify_lemma_z_uses_the_closed_form_variance():
@@ -241,9 +325,9 @@ def test_blas_threads_pinned_by_cell_k(monkeypatch):
     seen = []
     pair_sample, sketch_eigh = experiments._pair_sample, experiments.seigh
 
-    def pair_spy(modality, kind, rng, dim, k):
+    def pair_spy(modality, kinds, rng, dim, k):
         seen.append((k, threads()))
-        return pair_sample(modality, kind, rng, dim, k)
+        return pair_sample(modality, kinds, rng, dim, k)
 
     def seigh_spy(op, ensemble):
         seen.append(("seigh", threads()))
@@ -261,7 +345,7 @@ def test_blas_threads_pinned_by_cell_k(monkeypatch):
     assert seen == [(102, 1)] * 32 + [(cap + 1, before)] * 2 + [("seigh", before)]
     assert threads() == before
 
-    def failing(modality, kind, rng, dim, k):
+    def failing(modality, kinds, rng, dim, k):
         seen.append((k, threads()))
         raise RuntimeError
 
