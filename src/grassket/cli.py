@@ -132,13 +132,13 @@ def cmd_decompose(args):
     _write_table(out / "eigvals.csv", ["index", "eigval"],
                  enumerate(decomposition.eigvals),
                  comment={"seed": args.seed, "n_outer": args.n_outer, "n_inner": args.n_inner,
-                          "numerical_rank": decomposition.numerical_rank})
+                          "numerical_rank": decomposition.rank})
     logger.info("decomposition written to %s", out)
     return EXIT_OK
 
 
 def cmd_baseline(args):
-    metrics = [MetricKind(m) for m in args.metrics.split(",") if m.strip()]
+    metrics = [MetricKind(m.strip()) for m in args.metrics.split(",") if m.strip()]
     modalities = [m.strip() for m in args.modalities.split(",") if m.strip()]
     result = experiments.run_baseline(
         _int_list(args.dims), _float_list(args.rhos), modalities, metrics,

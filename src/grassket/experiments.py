@@ -335,10 +335,9 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     top = magnitude_ranking(theta)[:k_max]
 
     decomposition = seigh(op, draw_measurements(dim, n_inner, n_outer, seed))
-    if k_max > decomposition.numerical_rank:
+    if k_max > decomposition.rank:
         raise ValueError(
-            f"k_max={k_max} exceeds the numerical rank "
-            f"{decomposition.numerical_rank} of the sketch; "
+            f"k_max={k_max} exceeds the numerical rank {decomposition.rank} of the sketch; "
             "top-k eigenspaces past the rank are not unique"
         )
     sketched = _nested_overlaps(decomposition.vectors[top, :k_max])

@@ -51,7 +51,7 @@ _SVAL_EXCESS_TOL = 1e-8
 
 # directions of a matrix whose singular value falls below
 # DEGENERATE_COL_RTOL * ||matrix||_F carry no range information;
-# orthonormal_range leaves them out of the rank it reports
+# orthonormal_range leaves them out of the basis it returns
 DEGENERATE_COL_RTOL = 1e-14
 
 # orthonormal_range rescales a matrix whose squared Frobenius norm lies
@@ -290,7 +290,8 @@ def _inverse_cholesky_factor(gram):
 
 
 def orthonormal_range(matrix):
-    """Orthonormal basis Q of the column span of a tall matrix, and its rank.
+    """Orthonormal basis Q of the column span of a tall matrix, with the
+    numerical rank as its column count.
 
     CholeskyQR2 (Fukaya et al. 2014) gives Q while its Gram certificate
     holds: each pass factors a Gram, R^T R = A^T A, and forms A R^-1, and
@@ -298,14 +299,14 @@ def orthonormal_range(matrix):
     The certificate fails where the Gram is not numerically positive
     definite, or where the first pass is further than ||Q^T Q - I||_F = 1/2
     from orthonormal.  That deviation grows like eps * cond(matrix)^2, so an
-    accepted matrix has cond(matrix) below about 1e8 and its column count as
-    rank.  Otherwise positive_qr's Householder QR gives Q, and the rank
-    counts the singular values of its R above DEGENERATE_COL_RTOL *
-    ||matrix||_F; past the rank, Q's columns are a deterministic orthonormal
-    completion.  R has a nonnegative diagonal either way, so Q is
-    positive_qr's up to rounding, and Haar distributed for a Gaussian
-    matrix.  A matrix whose squared Frobenius norm lies outside _GRAM_RANGE
-    is first rescaled by a power of two, which changes no bit of Q.
+    accepted matrix has cond(matrix) below about 1e8 and full rank.
+    Otherwise positive_qr's Householder QR gives Q, and the rank counts the
+    singular values of its R above DEGENERATE_COL_RTOL * ||matrix||_F; below
+    full rank, Q is compressed onto R's leading left singular vectors.  At
+    full rank R has a nonnegative diagonal either way, so Q is positive_qr's
+    up to rounding, and Haar distributed for a Gaussian matrix.  A matrix
+    whose squared Frobenius norm lies outside _GRAM_RANGE is first rescaled
+    by a power of two, which changes no bit of Q.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,10 +324,11 @@ def orthonormal_range(matrix):
         # a Gram within 1/2 of I has its eigenvalues in [1/2, 3/2]; the
         # comparison is false for a non-finite first pass, which falls back
         if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-            return first @ _inverse_cholesky_factor(gram), matrix.shape[1]
+            return first @ _inverse_cholesky_factor(gram)
     Q, R = positive_qr(matrix)
-    singvals = np.linalg.svd(R, compute_uv=False)
-    return Q, int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix)))
+    left, singvals, _ = np.linalg.svd(R)
+    rank = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix)))
+    return Q if rank == matrix.shape[1] else Q @ left[:, :rank]
 
 
 def _gram_condition(gram, rinv):
@@ -357,7 +359,7 @@ def qr_rows(matrix, rows):
         # inverted comparison so a non-finite estimate takes the two passes too
         one_pass = rinv is not None and _gram_condition(gram, rinv) <= ONE_PASS_MAX_COND
     if not one_pass:
-        return orthonormal_range(matrix)[0][rows]
+        return orthonormal_range(matrix)[rows]
     return matrix[rows] @ rinv
 
 
@@ -403,7 +405,7 @@ def stiefel_from_rng(rng, dim, k):
     """Haar-uniform orthonormal basis drawn from an existing Generator."""
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    return OrthonormalBasis(orthonormal_range(rng.standard_normal((dim, k)))[0], check=False)
+    return OrthonormalBasis(orthonormal_range(rng.standard_normal((dim, k))), check=False)
 
 
 def sample_stiefel(dim, k, seed):

@@ -250,7 +250,7 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         blend[rows] += alignment * (supported @ (W @ Vt))
         # per plane it blends two unit vectors at most pi/2 apart, so its
         # singular values are at least 1/sqrt(2) and CholeskyQR2 is safe
-        basis = orthonormal_range(blend)[0]
+        basis = orthonormal_range(blend)
 
     return PlantedOperator(basis, eigvals)
 

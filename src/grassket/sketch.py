@@ -16,9 +16,9 @@ U and Lambda; ``seigh`` returns the eigenpairs as V = Q U and Lambda.
 unchanged on implicit operators of any size; the measurement maps are dense
 random signs, and all remaining work happens on thin (D x n_outer) or small
 (n_inner x n_inner) matrices.  The range basis of the outer sketch, as in
-the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), and its
-numerical rank come from ``grassmann.orthonormal_range``; ``seigh`` reports
-the rank as a field.
+the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), comes
+from ``grassmann.orthonormal_range`` and keeps only the sketch's numerical
+rank r, so the core is r x r and a decomposition holds r eigenpairs.
 """
 
 import logging
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ContractViolation, IntegrityError
 from .grassmann import OrthonormalBasis, orthonormal_range
 from .masks import magnitude_ranking
 
@@ -120,21 +120,14 @@ class SketchedEigh:
 
     ``vectors`` (V) is dim x rank column-orthonormal and ``eigvals`` is
     sorted by nonincreasing magnitude, column j of V belonging to eigvals[j].
-    ``core_asymmetry`` records the relative Frobenius asymmetry of the core
-    matrix before it was symmetrized, a cheap sanity diagnostic.
-    ``numerical_rank`` counts the leading eigenvalues backed by range
-    information; the ones past it are exact zeros, and eigenspaces past it
-    are not unique.  It defaults to ``rank``.
+    For ``seigh``'s result, ``rank`` is the numerical rank of the outer
+    sketch.  ``core_asymmetry`` records the relative Frobenius asymmetry of
+    the core matrix before it was symmetrized, a cheap sanity diagnostic.
     """
 
     vectors: np.ndarray
     eigvals: np.ndarray
     core_asymmetry: float = 0.0
-    numerical_rank: int = None
-
-    def __post_init__(self):
-        if self.numerical_rank is None:
-            self.numerical_rank = self.rank
 
     @property
     def dim(self):
@@ -192,10 +185,11 @@ def seigh(A, ens):
     core C = (upsilon^T Q)^+ M_I ((omega_full^T Q)^+)^T comes from two
     least-squares solves (Tropp et al. 2019, see the module docstring), is
     symmetrized and eigendecomposed into U and Lambda, and the eigenvectors
-    Q U are formed once, as ``vectors``.  Eigenvalues come back ordered by
-    nonincreasing magnitude, lower index first on ties, with the eigenvectors
-    permuted to match.  Those past the numerical rank of the outer sketch
-    are exact zeros; the rank is returned as ``numerical_rank``.
+    Q U are formed once, as ``vectors``.  Q spans the numerical range of
+    the outer sketch, so the result has as many eigenpairs as that range has
+    dimensions, and ContractViolation is raised when it has none.
+    Eigenvalues come back ordered by nonincreasing magnitude, lower index
+    first on ties, with the eigenvectors permuted to match.
     """
     if ens.dim != A.dim:
         raise ValueError(
@@ -207,8 +201,10 @@ def seigh(A, ens):
     if ens.n_inner > ens.n_outer:
         M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
 
-    Q, numerical_rank = orthonormal_range(outer_sketch)
-    core = _core(ens.upsilon, Q, M_inner, ens.omega_full)     # n_o x n_o
+    Q = orthonormal_range(outer_sketch)                       # D x r
+    if Q.shape[1] == 0:
+        raise ContractViolation("outer sketch has numerical rank 0")
+    core = _core(ens.upsilon, Q, M_inner, ens.omega_full)     # r x r
 
     # rescaled by a power of two so that neither norm overflows or underflows
     scaled = np.ldexp(core, -np.frexp(np.abs(core).max())[1])
@@ -220,10 +216,8 @@ def seigh(A, ens):
 
     eigvals, U = np.linalg.eigh(core)
     order = magnitude_ranking(eigvals)
-    eigvals = eigvals[order]
-    eigvals[numerical_rank:] = 0.0
-    return SketchedEigh(vectors=Q @ U[:, order], eigvals=eigvals,
-                        core_asymmetry=asymmetry, numerical_rank=numerical_rank)
+    return SketchedEigh(vectors=Q @ U[:, order], eigvals=eigvals[order],
+                        core_asymmetry=asymmetry)
 
 
 def residual_probe_norms(A, dec, n_probe, seed):
@@ -242,13 +236,14 @@ def residual_probe_norms(A, dec, n_probe, seed):
 
 def save_sketched_eigh(dec, path, metadata=None):
     """Persist ``dec.vectors`` as the column store ``path/vectors.store``, whose
-    metadata adds eigvals, core_asymmetry and numerical_rank to ``metadata``."""
+    metadata adds eigvals, core_asymmetry and numerical_rank, the column
+    count, to ``metadata``."""
     from . import storage
 
     meta = dict(metadata or {})
     meta["eigvals"] = [float(v) for v in dec.eigvals]
     meta["core_asymmetry"] = dec.core_asymmetry
-    meta["numerical_rank"] = dec.numerical_rank
+    meta["numerical_rank"] = dec.rank
     store = storage.create_layout(
         Path(path) / "vectors.store", dec.dim, dec.rank,
         chunk_cols=max(1, dec.rank // 4), metadata=meta, overwrite=True,
@@ -268,7 +263,7 @@ def _json_number(value):
 def load_sketched_eigh(path):
     """Read a ``save_sketched_eigh`` directory; IntegrityError if its eigvals
     or core_asymmetry are not numbers, or if the eigvals count or
-    numerical_rank does not fit the stored columns."""
+    numerical_rank differs from the stored column count."""
     from . import storage
 
     store = storage.open_store(Path(path) / "vectors.store")
@@ -280,8 +275,8 @@ def load_sketched_eigh(path):
         raise IntegrityError(f"{store.path}: eigvals and core_asymmetry must be "
                              f"numbers: {exc}") from exc
     rank = meta.get("numerical_rank")
-    if eigvals.shape != (store.cols,) or type(rank) is not int or not 0 <= rank <= store.cols:
+    if eigvals.shape != (store.cols,) or type(rank) is not int or rank != store.cols:
         raise IntegrityError(f"{store.path}: {eigvals.size} eigvals and numerical_rank "
                              f"{rank!r} do not fit {store.cols} stored eigenvectors")
     return SketchedEigh(vectors=storage.read_columns(store, 0, store.cols), eigvals=eigvals,
-                        core_asymmetry=asymmetry, numerical_rank=rank)
+                        core_asymmetry=asymmetry)

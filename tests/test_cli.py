@@ -36,10 +36,10 @@ def test_decompose_planted(tmp_path):
     lines = (out / "eigvals.csv").read_text().splitlines()
     assert lines[1] == "index,eigval"
     values = np.array([float(line.split(",")[1]) for line in lines[2:]])
-    assert len(values) == 60
-    # 50 planted values clearly separated from the trailing noise floor
-    assert np.abs(values[:50] - np.arange(50, 0, -1)).max() <= 1e-6
-    assert np.abs(values[50:]).max() <= 1e-6
+    # one row per direction of the sketch's numerical range, the planted rank
+    assert "numerical_rank=50" in lines[0].split()
+    assert len(values) == 50
+    assert np.abs(values - np.arange(50, 0, -1)).max() <= 1e-6
 
 
 def test_decompose_deterministic(tmp_path):
@@ -66,8 +66,9 @@ def test_decompose_writes_a_loadable_decomposition(tmp_path):
     dec = load_sketched_eigh(out / "decomposition")
     lines = (out / "eigvals.csv").read_text().splitlines()
     assert dec.eigvals.tolist() == [float(line.split(",")[1]) for line in lines[2:]]
-    assert f"numerical_rank={dec.numerical_rank}" in lines[0].split()
-    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(15)).max() <= 1e-10
+    assert f"numerical_rank={dec.rank}" in lines[0].split()
+    assert dec.rank == 10
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(10)).max() <= 1e-10
     op = make_planted_operator(200, np.arange(10, 0, -1.0), SparseMask(200, np.arange(10)),
                                0.0, 0)
     assert np.array_equal(dec.vectors, seigh(op, draw_measurements(200, 31, 15, 9)).vectors)
@@ -170,6 +171,21 @@ def test_any_bad_baseline_flag_value_is_a_usage_error(flag, values, data):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["modalities", "metrics"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_spaces_around_baseline_names_are_ignored(flag, data):
+    names = data.draw(st.lists(GOOD_BASELINE_VALUES[flag], min_size=1, max_size=3,
+                               unique=True))
+    pads = st.text(" \t", max_size=2)
+    value = ",".join(data.draw(pads) + name + data.draw(pads) for name in names)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run(["baseline", "--output-dir", out, "--dims", 16, "--rhos", 0.25,
+                    "--modalities", "OO,MM", "--samples", 3, f"--{flag}={value}"]) == 0
+        assert (out / "baseline.csv").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["curve", "--planted-dim", 100, "--planted-rank", 5, "--eigvals", "3,2",
      "--n-outer", 6],
@@ -224,6 +240,15 @@ def test_decompose_dense_store_refuses_non_square_matrix(tmp_path, capsys):
     code, out = decompose_stored_matrix(tmp_path, np.arange(24.0).reshape(6, 4))
     assert code == 2  # numerical-contract failure, not a usage error
     assert ("ERROR type=contract message=matrix of shape (6, 4) is not square"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_decompose_refuses_a_sketch_of_numerical_rank_zero(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["decompose", "--output-dir", out, "--planted-dim", 50, "--eigvals", "0,0",
+                "--n-outer", 4]) == 2
+    assert ("ERROR type=contract message=outer sketch has numerical rank 0"
             in capsys.readouterr().err)
     assert not out.exists()
 

@@ -12,15 +12,15 @@ import pytest
 import grassket
 
 # Library definitions that no CLI path reaches, each with its planned caller
-# from ROADMAP item 13; a module stands for all of its definitions.  A new
+# from ROADMAP item 5; a module stands for all of its definitions.  A new
 # unreached definition fails test_only_listed_definitions_are_unreached
 # until it is listed here.
 UNREACHED = {
-    "proxies": "item 3, slice 2: features of the trained MLP's loss Hessian",
-    "sketch.load_sketched_eigh": "item 2: curve reads a saved decomposition",
-    "sketch._json_number": "item 2, through load_sketched_eigh",
-    "operators.CountingOperator": "item 7: applied-column counts in the run record",
-    "sketch.residual_probe_norms": "item 5: curvature the top-k eigenspace holds",
+    "proxies": "item 8, slice 2: features of the trained MLP's loss Hessian",
+    "sketch.load_sketched_eigh": "item 6: curve reads a saved decomposition",
+    "sketch._json_number": "item 6, through load_sketched_eigh",
+    "operators.CountingOperator": "item 4: applied-column counts in the run record",
+    "sketch.residual_probe_norms": "item 7: curvature the top-k eigenspace holds",
     "masks.mask_eigenspace_overlap": "the README library example and perfbench",
     "masks.topk_magnitude_mask": "the README library example and perfbench",
 }

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grassket.errors import IntegrityError
+from grassket.errors import ContractViolation, IntegrityError
 from grassket.grassmann import DEGENERATE_COL_RTOL, OrthonormalBasis, overlap
 from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
@@ -134,7 +134,7 @@ def test_seigh_negative_rank_one():
     op = DenseOperator(-3.0 * np.outer(q, q))
     dec = seigh(op, draw_measurements(30, 5, 2, seed=12))
     assert dec.eigvals[0] == pytest.approx(-3.0, abs=1e-8)
-    assert abs(dec.eigvals[1]) <= 1e-8
+    assert dec.rank == 1
     assert abs(q @ dec.eigenbasis(1).columns[:, 0]) >= 1 - 1e-8
 
 
@@ -154,9 +154,10 @@ def test_seigh_orthonormal_factors_and_symmetric_core():
     mask = SparseMask(80, np.arange(8))
     op = make_planted_operator(80, np.arange(8, 0, -1.0), mask, 0.6, seed=1)
     dec = seigh(op, draw_measurements(80, 27, 13, seed=2))
-    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(13)).max() <= 1e-10
+    assert dec.rank == 8
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(8)).max() <= 1e-10
     basis = dec.eigenbasis().columns
-    assert np.abs(basis.T @ basis - np.eye(13)).max() <= 1e-10
+    assert np.abs(basis.T @ basis - np.eye(8)).max() <= 1e-10
     assert dec.core_asymmetry <= 1e-8
 
 
@@ -171,8 +172,8 @@ def test_exact_rank_capture_over_seeds(seed):
     dec = seigh(op, draw_measurements(120, 23, 11, seed=seed + 1000))
     oracle, _ = eigh_by_magnitude(op.materialize())
     top = oracle[:6]
-    assert np.abs(dec.eigvals[:6] - top).max() <= 1e-6 * np.abs(top).max()
-    assert np.abs(dec.eigvals[6:]).max() <= 1e-6 * np.abs(top).max()
+    assert np.abs(dec.eigvals - top).max() <= 1e-6 * np.abs(top).max()
+    assert dec.rank == 6
 
 
 def test_measurement_budget():
@@ -190,20 +191,17 @@ def test_seigh_reports_numerical_rank_without_warning(caplog):
     op = make_planted_operator(100, np.arange(5, 0, -1.0), None, 0.0, seed=0)
     with caplog.at_level(logging.WARNING):
         dec = seigh(op, draw_measurements(100, 21, 10, seed=2))
-    assert dec.numerical_rank == 5
-    assert np.array_equal(dec.eigvals[5:], np.zeros(5))
+    assert dec.rank == 5
+    assert dec.vectors.shape == (100, 5)
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_seigh_numerical_rank_full_and_zero():
     full = seigh(DenseOperator(np.diag(np.arange(20, 0, -1.0))),
                  draw_measurements(20, 11, 5, seed=6))
-    assert full.numerical_rank == 5
-    zero = seigh(DenseOperator(np.zeros((12, 12))),
-                 draw_measurements(12, 6, 3, seed=4))
-    assert zero.numerical_rank == 0
-    assert np.array_equal(zero.eigvals, np.zeros(3))
-    assert np.abs(zero.vectors.T @ zero.vectors - np.eye(3)).max() <= 1e-10
+    assert full.rank == 5
+    with pytest.raises(ContractViolation, match="outer sketch has numerical rank 0"):
+        seigh(DenseOperator(np.zeros((12, 12))), draw_measurements(12, 6, 3, seed=4))
 
 
 @pytest.mark.parametrize("make,n_outer,falls_back", [
@@ -231,10 +229,14 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
         return householder(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    dec = seigh(op, ens)
-    assert dec.numerical_rank == expected
+    if expected == 0:
+        with pytest.raises(ContractViolation, match="outer sketch has numerical rank 0"):
+            seigh(op, ens)
+    else:
+        dec = seigh(op, ens)
+        assert dec.rank == expected
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(expected)).max() <= 1e-13
     assert calls == ([(op.dim, n_outer)] if falls_back else [])
-    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n_outer)).max() <= 1e-13
 
 
 @pytest.mark.filterwarnings("error")
@@ -248,7 +250,7 @@ def test_seigh_at_extreme_operator_scales(exponent):
     scale = 2.0 ** exponent
     reference = run(1.0)
     dec = run(scale)
-    assert dec.numerical_rank == reference.numerical_rank == 5
+    assert dec.rank == reference.rank == 5
     np.testing.assert_allclose(dec.eigvals / scale, reference.eigvals, rtol=1e-12)
     assert np.isfinite(dec.core_asymmetry)
 
@@ -256,7 +258,7 @@ def test_seigh_at_extreme_operator_scales(exponent):
 @pytest.mark.filterwarnings("error")
 def test_seigh_of_a_rank_one_operator_near_the_float_maximum():
     dec = seigh(DenseOperator(np.full((20, 20), 1e300)), draw_measurements(20, 5, 2, 0))
-    assert dec.numerical_rank == 1
+    assert dec.rank == 1
     assert dec.eigvals[0] == pytest.approx(2e301, rel=1e-12)
 
 
@@ -265,7 +267,7 @@ def test_seigh_of_a_rank_one_operator_near_the_float_maximum():
 
 
 def test_exact_rank_reconstruction():
-    # the eigenvalues past numerical rank 10 are exact zeros
+    # the sketch captures the planted rank 10, so it reconstructs the operator
     mask = SparseMask(90, np.arange(10))
     op = make_planted_operator(90, np.arange(10, 0, -1.0), mask, 0.5, seed=7)
     dec = seigh(op, draw_measurements(90, 31, 15, seed=8))
@@ -354,9 +356,11 @@ def test_save_load_round_trip(tmp_path):
 def test_save_load_keeps_numerical_rank(tmp_path):
     op = make_planted_operator(40, [4.0, 3.0, 2.0], None, 0.0, seed=1)
     dec = seigh(op, draw_measurements(40, 13, 6, seed=2))
-    assert dec.numerical_rank == 3
+    assert dec.rank == 3
     save_sketched_eigh(dec, tmp_path / "dec")
-    assert load_sketched_eigh(tmp_path / "dec").numerical_rank == 3
+    from grassket.storage import open_store
+    assert open_store(tmp_path / "dec/vectors.store").metadata["numerical_rank"] == 3
+    assert load_sketched_eigh(tmp_path / "dec").rank == 3
 
 
 @pytest.mark.parametrize("edit", [
@@ -372,7 +376,8 @@ def test_load_refuses_eigval_count_off_the_columns(tmp_path, edit):
         load_sketched_eigh(tmp_path / "dec")
 
 
-@pytest.mark.parametrize("rank", [-1, 5, 2.0, True, "3", None])
+@pytest.mark.parametrize("rank", [-1, 5, 2.0, True, "3", None,
+                                  pytest.param(3, id="int-3"), 0])
 def test_load_refuses_numerical_rank_outside_the_columns(tmp_path, rank):
     dec = seigh(DenseOperator(np.diag(np.arange(12, 0, -1.0))),
                 draw_measurements(12, 9, 4, seed=0))
@@ -380,6 +385,22 @@ def test_load_refuses_numerical_rank_outside_the_columns(tmp_path, rank):
     _edit_metadata(tmp_path / "dec/vectors.store",
                    lambda meta: meta.update(numerical_rank=rank))
     with pytest.raises(IntegrityError, match="do not fit 4 stored eigenvectors"):
+        load_sketched_eigh(tmp_path / "dec")
+
+
+def test_load_refuses_a_store_padded_past_its_numerical_rank(tmp_path):
+    # the layout of a rank-3 sketch with 4 outer measurements before 0.7.0:
+    # a fourth column for an exact-zero eigenvalue past numerical_rank 3
+    dec = seigh(DenseOperator(np.diag(np.arange(12, 0, -1.0))),
+                draw_measurements(12, 9, 4, seed=0))
+    save_sketched_eigh(dec, tmp_path / "dec")
+
+    def pad(meta):
+        meta["eigvals"][3] = 0.0
+        meta["numerical_rank"] = 3
+
+    _edit_metadata(tmp_path / "dec/vectors.store", pad)
+    with pytest.raises(IntegrityError, match="numerical_rank 3 do not fit 4 stored"):
         load_sketched_eigh(tmp_path / "dec")
 
 
