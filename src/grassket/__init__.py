@@ -12,8 +12,6 @@ from .masks import (SparseMask, hamming, iou, mask_basis,
                     mask_eigenspace_overlap, sample_mask, topk_magnitude_mask)
 from .operators import (CountingOperator, DenseOperator, LinearOperator,
                         PlantedOperator, eigh_by_magnitude, make_planted_operator)
-from .proxies import (QuadraticObjective, masked_perturbation_expectation,
-                      psd_subtrace, sam_feature, squared_hessian_diag)
 from .sketch import MeasurementEnsemble, SketchedEigh, draw_measurements, seigh
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -172,10 +172,13 @@ def cmd_curve(args):
 
 
 def cmd_verify(args):
-    out = _write_config(args)  # the store checks run inside the output directory
+    # run_checks refuses bad --samples or --seed at the call, before the
+    # output directory, where the store checks run, is created
+    checks = selftest.run_checks(args.samples, args.seed, Path(args.output_dir))
+    out = _write_config(args)
     report = []
     failures = 0
-    for name, passed, detail in selftest.run_checks(args.samples, args.seed, out):
+    for name, passed, detail in checks:
         line = f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
         print(line)
         report.append(line)
@@ -186,6 +189,10 @@ def cmd_verify(args):
 
 
 def cmd_store_create(args):
+    if args.fill_seed is not None:
+        # a seed numpy refuses is refused before anything at --path is
+        # created or truncated
+        np.random.default_rng(args.fill_seed)
     store = storage.create_layout(args.path, args.rows, args.cols,
                                   args.chunk_cols, overwrite=args.overwrite)
     if args.fill_seed is not None:

@@ -36,7 +36,10 @@ class SparseMask:
 
     def __post_init__(self):
         dim = int(self.dim)
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        try:
+            idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        except OverflowError:  # an index past int64 is out of range too
+            raise ValueError(f"indices must lie in [0, {dim})") from None
         if idx.size < 1 or idx.size > dim:
             raise ValueError(f"need 1 <= k <= dim, got k={idx.size}, dim={dim}")
         idx = np.sort(idx)

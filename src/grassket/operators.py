@@ -1,9 +1,9 @@
 """Matrix-free linear operators and synthetic planted-spectrum operators.
 
-Everything downstream (the sketched eigendecomposition, residual probes,
-diagonal readouts) talks to operators exclusively through block application:
-a block is a 2-d float array whose columns are the vectors to map.  Single
-vectors are 1-column blocks.
+Everything downstream (the sketched eigendecomposition, residual probes)
+talks to operators exclusively through block application: a block is a 2-d
+float array whose columns are the vectors to map.  Single vectors are
+1-column blocks.
 """
 
 import numpy as np

@@ -92,13 +92,21 @@ def store_round_trips(workdir, seed):
 
 
 def run_checks(samples, seed, workdir):
-    """Yield (name, passed, detail) per check, in report order.
+    """An iterator of (name, passed, detail) per check, in report order.
 
-    The store round trips run in a temporary directory inside ``workdir``
-    that is removed before their checks are yielded.
+    The chance-level checks run at the call, so that ``verify_lemma`` refuses
+    a bad ``samples`` or ``seed`` before anything is written; the others run
+    as the iterator is consumed.  The store round trips run in a temporary
+    directory inside ``workdir`` that is removed before their checks are
+    yielded.
     """
-    for dim, k in ((128, 6), (512, 26), (2048, 102)):
-        lemma = verify_lemma(dim, k, samples, seed)
+    lemmas = [(dim, k, verify_lemma(dim, k, samples, seed))
+              for dim, k in ((128, 6), (512, 26), (2048, 102))]
+    return _checks(lemmas, seed, workdir)
+
+
+def _checks(lemmas, seed, workdir):
+    for dim, k, lemma in lemmas:
         yield (f"chance-level overlap D={dim} k={k}", lemma.passed,
                f"mean={lemma.mean!r} expected={k / dim:.6f} stderr={lemma.stderr:.2e} "
                f"z={lemma.z:+.2f}")

@@ -187,7 +187,8 @@ def seigh(A, ens):
     symmetrized and eigendecomposed into U and Lambda, and the eigenvectors
     Q U are formed once, as ``vectors``.  Q spans the numerical range of
     the outer sketch, so the result has as many eigenpairs as that range has
-    dimensions, and ContractViolation is raised when it has none.
+    dimensions, and ContractViolation is raised when it has none, or when the
+    inner block or the core is not finite (products past the float range).
     Eigenvalues come back ordered by nonincreasing magnitude, lower index
     first on ties, with the eigenvectors permuted to match.
     """
@@ -200,6 +201,8 @@ def seigh(A, ens):
     M_inner = ens.upsilon.T @ outer_sketch                    # outer columns of M_I
     if ens.n_inner > ens.n_outer:
         M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
+    if not np.isfinite(M_inner).all():  # also catches a non-finite outer sketch
+        raise ContractViolation("inner sketch is not finite: the operator's products overflow")
 
     Q = orthonormal_range(outer_sketch)                       # D x r
     if Q.shape[1] == 0:
@@ -213,6 +216,8 @@ def seigh(A, ens):
         np.linalg.norm(scaled - scaled.T) / core_norm
     )
     core = 0.5 * (core + core.T)
+    if not np.isfinite(core).all():
+        raise ContractViolation("sketch core is not finite: its solves or symmetrization overflow")
 
     eigvals, U = np.linalg.eigh(core)
     order = magnitude_ranking(eigvals)

@@ -16,9 +16,6 @@ from grassket.experiments import overlap_curve, ranked_theta, run_baseline
 from grassket.grassmann import MetricKind, OrthonormalBasis, overlap
 from grassket.masks import SparseMask
 from grassket.operators import eigh_by_magnitude, make_planted_operator
-from grassket.proxies import (QuadraticObjective,
-                              masked_perturbation_expectation, psd_subtrace,
-                              sam_feature, squared_hessian_diag)
 from grassket.selftest import bijection_deviations, store_round_trips
 from grassket.sketch import draw_measurements, residual_probe_norms, seigh
 
@@ -142,43 +139,6 @@ def test_07_bijection_suite():
     ok = worst_mask <= 1e-12 and worst_basis <= 1e-10
     _report(7, "overlap bijections with IoU, bit flips and projection distance",
             ok, f"mask dev={worst_mask:.1e}, basis dev={worst_basis:.1e}")
-
-
-def test_08_perturbation_verifier():
-    obj = QuadraticObjective(np.diag([2.0, -2.0, 4.0]))
-    theta = np.zeros(3)
-    est_cancel, se_cancel = masked_perturbation_expectation(
-        obj, theta, SparseMask(3, [0, 1]), n_samples=100_000, seed=15)
-    est_single, se_single = masked_perturbation_expectation(
-        obj, theta, SparseMask(3, [2]), n_samples=100_000, seed=16)
-    ok = abs(est_cancel) <= 3 * se_cancel and abs(est_single - 2.0) <= 3 * se_single
-    _report(8, "masked perturbation expectations", ok,
-            f"cancel={est_cancel:.4f}+-{se_cancel:.4f}, "
-            f"single={est_single:.4f}+-{se_single:.4f}")
-
-
-def test_09_proxy_identities():
-    rng = np.random.default_rng(17)
-    dim = 20
-    theta = rng.standard_normal(dim)
-    diag = np.abs(rng.standard_normal(dim))
-    subtrace_full = psd_subtrace(diag, theta, dim)
-    identity_ok = all(psd_subtrace(np.ones(dim), theta, k) == k / dim
-                      for k in range(1, dim + 1))
-    half = rng.standard_normal((dim, dim))
-    H = 0.5 * (half + half.T)
-    obj = QuadraticObjective(H, g0=rng.standard_normal(dim))
-    sam_full = [sam_feature(obj, theta, radius, dim) for radius in (0.01, 0.1, 1.0)]
-    from grassket.operators import DenseOperator
-    op = DenseOperator(H)
-    squared = H @ H
-    diag_dev = max(abs(squared_hessian_diag(op, i) - squared[i, i])
-                   for i in range(dim))
-    ok = (subtrace_full == 1.0 and identity_ok
-          and all(v == 1.0 for v in sam_full) and diag_dev <= 1e-10)
-    _report(9, "proxy feature identities", ok,
-            f"subtrace(D)={subtrace_full!r}, sam(D)={sam_full!r}, "
-            f"squared-diag dev={diag_dev:.1e}")
 
 
 def test_10_storage_bit_exactness(tmp_path):

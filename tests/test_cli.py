@@ -101,9 +101,11 @@ def test_decompose_rejects_non_finite_eigvals(tmp_path, capsys):
     (["baseline", "--dims=-5"], "dimension must be positive"),
     (["baseline", "--metrics", "overlap,overlap"],
      "metric grid ['overlap', 'overlap'] repeats an entry"),
+    (["verify", "--samples", 10], "need at least 30 samples"),
+    (["verify", "--seed", -1], "expected non-negative integer"),
 ], ids=["decompose-nan-eigvals", "baseline-unknown-metric", "curve-n-outer-above-dim",
         "curve-top-k-above-rank", "baseline-zero-dim", "baseline-negative-dim",
-        "baseline-duplicate-metric"])
+        "baseline-duplicate-metric", "verify-too-few-samples", "verify-negative-seed"])
 def test_refused_run_leaves_no_output_dir(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--output-dir", out]) == 1
@@ -166,6 +168,60 @@ def test_any_bad_baseline_flag_value_is_a_usage_error(flag, values, data):
         with contextlib.redirect_stderr(err):
             code = run(["baseline", "--output-dir", out, "--dims", 16, "--rhos", 0.25,
                         "--modalities", "OO,MM", "--samples", 3, f"--{flag}={value}"])
+        assert code == 1
+        assert "ERROR type=usage" in err.getvalue()
+        assert not out.exists()
+
+
+# good arguments of each command; the bad value comes last, so it takes effect
+_PLANTED = ["--planted-dim", 40, "--eigvals", "3,2,1", "--n-outer", 5]
+GOOD_ARGS = {
+    "decompose": ["decompose", *_PLANTED],
+    "curve": ["curve", *_PLANTED],
+    "verify": ["verify", "--samples", 30],
+    "store-create": ["store", "create", "--rows", 4, "--cols", 4, "--chunk-cols", 2,
+                     "--fill-seed", 1],
+}
+_NEGATIVE = st.integers(max_value=-1)
+_PLANTED_COMMANDS = ("decompose", "curve")
+BAD_FLAG_VALUES = {
+    "n-outer-below-one": (_PLANTED_COMMANDS, "n-outer", st.integers(max_value=0)),
+    "n-inner-below-n-outer-or-above-dim": (
+        _PLANTED_COMMANDS, "n-inner", st.integers(max_value=4) | st.integers(min_value=41)),
+    "alignment-outside-unit-interval": (_PLANTED_COMMANDS, "planted-alignment", (
+        st.floats(max_value=0.0, exclude_max=True)
+        | st.floats(min_value=1.0, exclude_min=True) | st.just(float("nan")))),
+    "non-finite-eigvals": (_PLANTED_COMMANDS, "eigvals", _with_one_bad(
+        st.floats(1.0, 3.0), st.sampled_from([float("nan"), float("inf"), float("-inf")]))),
+    "mask-index-out-of-range": (_PLANTED_COMMANDS, "mask-indices", _with_one_bad(
+        st.integers(0, 39), _NEGATIVE | st.integers(min_value=40))),
+    "repeated-mask-index": (_PLANTED_COMMANDS, "mask-indices",
+                            _with_a_repeat(st.integers(0, 39))),
+    "top-k-below-one-or-past-rank": (
+        ("curve",), "top-k", st.integers(max_value=0) | st.integers(min_value=4)),
+    "negative-seed": (("decompose", "curve", "verify"), "seed", _NEGATIVE),
+    "negative-planted-seed": (_PLANTED_COMMANDS, "planted-seed", _NEGATIVE),
+    "negative-theta-seed": (("curve",), "theta-seed", _NEGATIVE),
+    "verify-samples-below-thirty": (("verify",), "samples", st.integers(max_value=29)),
+    **{f"store-{flag}-below-one": (("store-create",), flag, st.integers(max_value=0))
+       for flag in ("rows", "cols", "chunk-cols")},
+    "negative-fill-seed": (("store-create",), "fill-seed", _NEGATIVE),
+}
+
+
+@pytest.mark.parametrize("commands, flag, values", BAD_FLAG_VALUES.values(),
+                         ids=BAD_FLAG_VALUES.keys())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_any_bad_flag_value_is_a_usage_error(commands, flag, values, data):
+    command = data.draw(st.sampled_from(commands))
+    value = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        target = ["--path" if command == "store-create" else "--output-dir", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(GOOD_ARGS[command] + target + [f"--{flag}={value}"])
         assert code == 1
         assert "ERROR type=usage" in err.getvalue()
         assert not out.exists()
@@ -277,6 +333,17 @@ def test_decompose_dense_store_refuses_planted_flags(tmp_path, capsys, flag, val
                 "--n-outer", 2, flag, value]) == 1
     assert (f"ERROR type=usage message=--dense-store does not take {flag}"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_decompose_dense_store_refuses_a_sketch_that_overflows(tmp_path, capsys):
+    # finite entries near 1e306 overflow in the sketch's products: numpy's
+    # LinAlgError is a ValueError, so without the check this exits 1
+    half = np.random.default_rng(0).standard_normal((200, 200))
+    code, out = decompose_stored_matrix(tmp_path, (half + half.T) * 1e306)
+    assert code == 2  # numerical-contract failure, not a usage error
+    assert "ERROR type=contract message=inner sketch is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -597,6 +664,26 @@ def test_store_create_refuses_overwrite(tmp_path):
                 "--cols", 4, "--chunk-cols", 2]) == 3
     assert run(["store", "create", "--path", store_path, "--rows", 4,
                 "--cols", 4, "--chunk-cols", 2, "--overwrite"]) == 0
+
+
+@pytest.mark.parametrize("overwrite", [True, False], ids=["over-a-store", "new-path"])
+def test_store_create_refuses_a_bad_fill_seed_before_touching_the_path(tmp_path, capsys,
+                                                                        overwrite):
+    store_path = tmp_path / "data.store"
+    create = ["store", "create", "--path", store_path, "--rows", 4, "--cols", 4,
+              "--chunk-cols", 2]
+    if overwrite:
+        assert run(create + ["--fill-seed", 3]) == 0
+        before = {p.name: p.read_bytes() for p in store_path.glob("*")}
+    capsys.readouterr()
+    assert run(create + ["--fill-seed", -2] + ["--overwrite"] * overwrite) == 1
+    assert "ERROR type=usage" in capsys.readouterr().err
+    if overwrite:
+        # the seeded store, manifest and chunk bytes alike, is left as it was
+        assert {p.name: p.read_bytes() for p in store_path.glob("*")} == before
+        assert run(["store", "verify", "--path", store_path]) == 0
+    else:
+        assert not store_path.exists()
 
 
 def test_store_create_refuses_too_many_chunks(tmp_path):

@@ -23,6 +23,12 @@ def test_mask_validation():
     assert 3 in mask and 1 not in mask
 
 
+def test_mask_index_past_int64_is_out_of_range():
+    # numpy raises OverflowError, which the CLI would not read as a usage error
+    with pytest.raises(ValueError, match=r"indices must lie in \[0, 5\)"):
+        SparseMask(5, [0, 2**70])
+
+
 def test_topk_magnitude_mask():
     assert list(topk_magnitude_mask([0.1, -5.0, 2.0, 0.0], 2).indices) == [1, 2]
     theta = np.arange(1.0, 8.0)

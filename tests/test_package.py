@@ -16,7 +16,6 @@ import grassket
 # unreached definition fails test_only_listed_definitions_are_unreached
 # until it is listed here.
 UNREACHED = {
-    "proxies": "item 8, slice 2: features of the trained MLP's loss Hessian",
     "sketch.load_sketched_eigh": "item 6: curve reads a saved decomposition",
     "sketch._json_number": "item 6, through load_sketched_eigh",
     "operators.CountingOperator": "item 4: applied-column counts in the run record",

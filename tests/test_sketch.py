@@ -262,6 +262,26 @@ def test_seigh_of_a_rank_one_operator_near_the_float_maximum():
     assert dec.eigvals[0] == pytest.approx(2e301, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_seigh_refuses_an_inner_sketch_that_overflows():
+    # finite entries whose sketch products pass the float range break the
+    # numerical contract; numpy's LinAlgError would read as a usage error
+    rng = np.random.default_rng(0)
+    half = rng.standard_normal((200, 200))
+    matrix = (half + half.T) * 1e306
+    with pytest.raises(ContractViolation, match="inner sketch is not finite"):
+        seigh(DenseOperator(matrix), draw_measurements(200, 41, 20, 0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_seigh_refuses_a_core_that_overflows():
+    # the inner block holds +-1e308, but the core's symmetrization doubles it
+    matrix = np.zeros((12, 12))
+    matrix[0, 0] = 1e308
+    with pytest.raises(ContractViolation, match="sketch core is not finite"):
+        seigh(DenseOperator(matrix), draw_measurements(12, 7, 3, 0))
+
+
 # ---------------------------------------------------------------------------
 # reconstruction and eigenbasis access
 
