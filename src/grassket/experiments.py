@@ -22,7 +22,7 @@ import numpy as np
 
 from .grassmann import (MetricKind, PrincipalAngles, cross_angles, haar_rows,
                         metric, overlap_baseline, overlap_variance, similarity)
-from .masks import magnitude_ranking, mask_from_rng
+from .masks import magnitude_ranking, mask_from_rng, nested_mask_overlaps
 from .sketch import draw_measurements, seigh
 
 __all__ = [
@@ -340,11 +340,11 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
             f"k_max={k_max} exceeds the numerical rank {decomposition.rank} of the sketch; "
             "top-k eigenspaces past the rank are not unique"
         )
-    sketched = _nested_overlaps(decomposition.vectors[top, :k_max])
+    sketched = nested_mask_overlaps(decomposition.vectors[top, :k_max])
 
     if dim <= DENSE_ORACLE_MAX_DIM:
         vectors, source = op.reference_eigenbasis(k_max)
-        exact = _nested_overlaps(vectors[top])
+        exact = nested_mask_overlaps(vectors[top])
     else:
         logger.info(
             "dimension %d exceeds the dense-oracle cap %d; "
@@ -358,14 +358,3 @@ def overlap_curve(op, theta, n_outer, n_inner, k_max, seed):
     return OverlapCurve(points=points, operator=descriptor,
                         n_outer=int(n_outer), n_inner=int(n_inner), seed=int(seed),
                         exact_source=source)
-
-
-def _nested_overlaps(rows):
-    """Overlap of the top-k mask with the rank-k eigenbasis, for every k.
-
-    ``rows[i, j]`` is the entry of eigenvector j at the i-th ranked
-    coordinate, so the k-th overlap is the squared mass of the leading k x k
-    block divided by k, as in ``masks.mask_eigenspace_overlap``.
-    """
-    squares = rows * rows
-    return [float(np.sum(squares[:k, :k]) / k) for k in range(1, len(rows) + 1)]

@@ -7,12 +7,13 @@ nondecreasing vector sigma in [0, pi/2]^k obtained from the singular values of
 Q1^T Q2.  Each distance comes with its analytic maximum, which normalizes it
 into a [0, 1] similarity; the overlap similarity needs no normalization and
 has the closed-form chance level k/D for uniformly random subspaces.  Every
-orthonormal basis the package forms comes from ``orthonormal_range``,
-CholeskyQR2 with one Householder fallback.  Uniform (Haar) bases come from
-one sampler, its Q factor of a Gaussian matrix; ``qr_rows`` reads k rows of
-such a basis off one Gram product, and ``haar_rows`` gives k rows of a D x k
-one from a stand-in of at most 2k rows whose Gram is drawn through its
-Bartlett factor.
+orthonormal basis the package forms comes from one body, ``range_factors``:
+CholeskyQR2 with one Householder fallback.  ``orthonormal_range`` forms its
+Q, and ``sketch.seigh`` uses its factors without forming Q.  Uniform (Haar)
+bases come from one sampler, its Q factor of a Gaussian matrix; ``qr_rows``
+reads k rows of such a basis off one Gram product, and ``haar_rows`` gives k
+rows of a D x k one from a stand-in of at most 2k rows whose Gram is drawn
+through its Bartlett factor.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "overlap",
     "cross_angles",
     "orthonormal_range",
+    "range_factors",
     "qr_rows",
     "haar_rows",
     "sample_stiefel",
@@ -51,10 +53,10 @@ _SVAL_EXCESS_TOL = 1e-8
 
 # directions of a matrix whose singular value falls below
 # DEGENERATE_COL_RTOL * ||matrix||_F carry no range information;
-# orthonormal_range leaves them out of the basis it returns
+# range_factors leaves them out of the basis it returns
 DEGENERATE_COL_RTOL = 1e-14
 
-# orthonormal_range rescales a matrix whose squared Frobenius norm lies
+# range_factors rescales a matrix whose squared Frobenius norm lies
 # outside this range; inside it every singular value above the rank
 # threshold has a normal, finite square
 _GRAM_RANGE = (2.0 ** -900, 2.0 ** 900)
@@ -289,28 +291,30 @@ def _inverse_cholesky_factor(gram):
     return _upper_triangular_inverse(lower.T)
 
 
-def orthonormal_range(matrix):
-    """Orthonormal basis Q of the column span of a tall matrix, with the
-    numerical rank as its column count.
+def range_factors(matrix):
+    """Factors of the orthonormal basis Q of a tall matrix's column span,
+    with the numerical rank as Q's column count.
 
-    CholeskyQR2 (Fukaya et al. 2014) gives Q while its Gram certificate
-    holds: each pass factors a Gram, R^T R = A^T A, and forms A R^-1, and
-    the second pass, on the first's Q, restores orthogonality to rounding.
-    The certificate fails where the Gram is not numerically positive
-    definite, or where the first pass is further than ||Q^T Q - I||_F = 1/2
-    from orthonormal.  That deviation grows like eps * cond(matrix)^2, so an
-    accepted matrix has cond(matrix) below about 1e8 and full rank.
-    Otherwise positive_qr's Householder QR gives Q, and the rank counts the
-    singular values of its R above DEGENERATE_COL_RTOL * ||matrix||_F; below
-    full rank, Q is compressed onto R's leading left singular vectors.  At
-    full rank R has a nonnegative diagonal either way, so Q is positive_qr's
-    up to rounding, and Haar distributed for a Gaussian matrix.  A matrix
-    whose squared Frobenius norm lies outside _GRAM_RANGE is first rescaled
-    by a power of two, which changes no bit of Q.
+    CholeskyQR2 (Fukaya et al. 2014) runs while its Gram certificate holds:
+    the first pass factors the Gram, R1^T R1 = A^T A, and forms
+    B = A R1^-1, and the second factors B^T B = R2^T R2, so that
+    Q = B R2^-1 and A = Q R2 R1.  The result is then ``(B, R1^-1, R2^-1)``,
+    from which callers form Q or any product with it.  The certificate fails
+    where the Gram is not numerically positive definite, or where B is
+    further than ||B^T B - I||_F = 1/2 from orthonormal.  That deviation
+    grows like eps * cond(matrix)^2, so an accepted matrix has cond(matrix)
+    below about 1e8 and full rank.  Otherwise the result is ``(Q, None,
+    None)`` with Q from positive_qr's Householder QR; the rank counts the
+    singular values of its R above DEGENERATE_COL_RTOL * ||matrix||_F, and
+    below full rank Q is compressed onto R's leading left singular vectors.
+    A matrix whose squared Frobenius norm lies outside _GRAM_RANGE is first
+    rescaled by a power of two, which changes no bit of B, R2^-1 or Q; R1^-1
+    is scaled back, so it stays the inverse factor of the matrix as given.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = matrix.T @ matrix
+    exponent = 0
     if not _GRAM_RANGE[0] <= np.trace(gram) <= _GRAM_RANGE[1]:
         # exponent 0 for a zero or non-finite matrix, which keeps it as is
         exponent = np.frexp(max(matrix.max(), -matrix.min()))[1]
@@ -324,11 +328,22 @@ def orthonormal_range(matrix):
         # a Gram within 1/2 of I has its eigenvalues in [1/2, 3/2]; the
         # comparison is false for a non-finite first pass, which falls back
         if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-            return first @ _inverse_cholesky_factor(gram)
+            return first, np.ldexp(rinv, -exponent), _inverse_cholesky_factor(gram)
     Q, R = positive_qr(matrix)
     left, singvals, _ = np.linalg.svd(R)
     rank = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix)))
-    return Q if rank == matrix.shape[1] else Q @ left[:, :rank]
+    return (Q if rank == matrix.shape[1] else Q @ left[:, :rank]), None, None
+
+
+def orthonormal_range(matrix):
+    """Orthonormal basis Q of the column span of a tall matrix, with the
+    numerical rank as its column count: B R2^-1 from range_factors'
+    CholeskyQR2, or its Householder Q.  At full rank both paths give the
+    matrix a triangular factor with a nonnegative diagonal, so Q is
+    positive_qr's up to rounding, and Haar distributed for a Gaussian matrix.
+    """
+    basis, _, rinv = range_factors(matrix)
+    return basis if rinv is None else basis @ rinv
 
 
 def _gram_condition(gram, rinv):

@@ -20,6 +20,7 @@ __all__ = [
     "topk_magnitude_mask",
     "mask_basis",
     "mask_eigenspace_overlap",
+    "nested_mask_overlaps",
     "iou",
     "hamming",
     "sample_mask",
@@ -93,8 +94,9 @@ def mask_eigenspace_overlap(mask, eigbasis, k):
     """Overlap between a k-mask and a rank-k eigenbasis, in [0, 1].
 
     Equals ``overlap(mask_basis(mask), eigbasis)`` but sums the squared norms
-    of the selected eigenbasis rows directly, never materializing the mask
-    embedding or any permutation.
+    of the selected eigenbasis rows directly, as the last of their
+    ``nested_mask_overlaps``, never materializing the mask embedding or any
+    permutation.
     """
     if mask.k != k or eigbasis.rank != k:
         raise ValueError(
@@ -102,8 +104,21 @@ def mask_eigenspace_overlap(mask, eigbasis, k):
         )
     if mask.dim != eigbasis.dim:
         raise ValueError(f"dimension mismatch: {mask.dim} vs {eigbasis.dim}")
-    rows = eigbasis.columns[mask.indices]
-    return float(np.sum(rows * rows) / k)
+    return nested_mask_overlaps(eigbasis.columns[mask.indices])[-1]
+
+
+def nested_mask_overlaps(rows):
+    """Overlap of the top-k mask with the rank-k eigenbasis, for every k.
+
+    ``rows[i, j]`` is the entry of eigenvector j at the i-th ranked
+    coordinate of a square block, so the k-th overlap is the squared mass of
+    the leading k x k block divided by k.  That block grows by one row and
+    one column per k; a running sum of their squared mass gives every
+    overlap in O(k^2).
+    """
+    squares = rows * rows
+    added = np.tril(squares).sum(axis=1) + np.triu(squares, 1).sum(axis=0)
+    return (np.cumsum(added) / np.arange(1, len(added) + 1)).tolist()
 
 
 def iou(m1, m2):

@@ -7,18 +7,24 @@ factors a general operator from independent outer measurements of its column
 and row spaces plus an oversampled inner block M = upsilon^T A omega.  For a
 symmetric operator the row basis equals the column basis, so one outer
 sketch serves both sides and is recycled into the inner block: the result is
-Q U Lambda U^T Q^T from n_inner operator applications in total.  The small
-core (upsilon^T Q)^+ M ((omega^T Q)^+)^T comes from two minimum-norm
-least-squares solves, and the eigendecomposition of its symmetric part gives
-U and Lambda; ``seigh`` returns the eigenpairs as V = Q U and Lambda.
+Q U Lambda U^T Q^T from one application of the operator to n_inner columns.
+The small core (upsilon^T Q)^+ M ((omega^T Q)^+)^T comes from two
+minimum-norm least-squares solves, and the eigendecomposition of its
+symmetric part gives U and Lambda; ``seigh`` returns the eigenpairs as
+V = Q U and Lambda.
 
 ``seigh`` accesses the operator only through block application, so it runs
 unchanged on implicit operators of any size; the measurement maps are dense
 random signs, and all remaining work happens on thin (D x n_outer) or small
 (n_inner x n_inner) matrices.  The range basis of the outer sketch, as in
 the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), comes
-from ``grassmann.orthonormal_range`` and keeps only the sketch's numerical
-rank r, so the core is r x r and a decomposition holds r eigenpairs.
+from ``grassmann.range_factors`` and keeps only the sketch's numerical
+rank r, so the core is r x r and a decomposition holds r eigenpairs.  Where
+that basis comes from CholeskyQR2, Q is never formed: its products with the
+measurement maps and with U come from CholeskyQR2's first pass and its two
+triangular factors (Fukaya et al. 2014), one of them read off the inner
+block, so the sketch adds no D-sized product that the algorithm does not
+need.
 """
 
 import logging
@@ -28,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, IntegrityError
-from .grassmann import OrthonormalBasis, orthonormal_range
+from .grassmann import OrthonormalBasis, range_factors
 from .masks import magnitude_ranking
 
 __all__ = [
@@ -60,9 +66,9 @@ class MeasurementEnsemble:
     2003), the dense sign maps of Tropp et al. 2019; ``residual_probe_norms``
     and ``storage.fill_gaussian`` keep Gaussian draws.  Streams 0, 1 and 2 of
     the seed fill ``upsilon``, ``omega_inner`` and ``omega_outer`` in place,
-    one random bit per entry in row-major order.  ``seigh`` orthonormalizes
-    A @ omega_outer into its range basis and recycles that sketch into the
-    inner block, so the operator is applied to n_inner columns in total.
+    one random bit per entry in row-major order.  ``seigh`` applies the
+    operator once, to ``omega_full``, and takes its range basis from the
+    trailing n_outer columns of that block, A @ omega_outer.
     """
 
     seed: int
@@ -164,31 +170,26 @@ def _lstsq_minnorm(A, B, what):
     return solution
 
 
-def _core(upsilon, Q, M, omega):
-    """Core C = (upsilon^T Q)^+ M ((omega^T Q)^+)^T of an inner block M.
-
-    When A = Q C Q^T, the inner block M = upsilon^T A omega equals
-    (upsilon^T Q) C (omega^T Q)^T, so C follows from two minimum-norm
-    least-squares solves, one per side.
-    """
-    half = _lstsq_minnorm(upsilon.T @ Q, M, "left core")            # n_o x n_i
-    return _lstsq_minnorm(omega.T @ Q, half.T, "right core").T      # n_o x n_o
-
-
 def seigh(A, ens):
     """Sketched eigendecomposition of a symmetric linear operator.
 
-    The outer sketch M_O = A @ omega_outer is orthonormalized into the range
-    basis Q and recycled: together with A @ omega_inner it forms the right
-    half of the inner block M_I = upsilon^T A [omega_inner, omega_outer], so
-    the operator is applied to exactly n_inner columns in total.  The small
-    core C = (upsilon^T Q)^+ M_I ((omega_full^T Q)^+)^T comes from two
-    least-squares solves (Tropp et al. 2019, see the module docstring), is
-    symmetrized and eigendecomposed into U and Lambda, and the eigenvectors
-    Q U are formed once, as ``vectors``.  Q spans the numerical range of
-    the outer sketch, so the result has as many eigenpairs as that range has
-    dimensions, and ContractViolation is raised when it has none, or when the
-    inner block or the core is not finite (products past the float range).
+    The operator is applied once, to the n_inner columns of omega_full, and
+    the inner block is the one product M = upsilon^T A omega_full.  The
+    outer sketch Y = A omega_outer, the trailing n_outer columns of that
+    application, is copied out and the D x n_inner block released before
+    ``grassmann.range_factors`` factors Y.  On its CholeskyQR2 path
+    Y = Q R2 R1 with Q = B R2^-1, and Q is never formed: upsilon^T Q is read
+    off the inner block as M[:, outer] R1^-1 R2^-1, omega_full^T Q is
+    (omega_full^T B) R2^-1, and the eigenvectors are B (R2^-1 U).  On its
+    Householder path Q is explicit, and both products and Q U are formed
+    from it.  The small core C = (upsilon^T Q)^+ M ((omega_full^T Q)^+)^T
+    comes from two least-squares solves (Tropp et al. 2019, see the module
+    docstring).  It is symmetrized and eigendecomposed in a copy rescaled by
+    a power of two, so neither step overflows, and the eigenvalues are
+    scaled back.  Q spans the numerical range of the outer sketch, so the
+    result has as many eigenpairs as that range has dimensions, and
+    ContractViolation is raised when it has none, or when the inner block,
+    the core's solves or the eigenvalues pass the float range.
     Eigenvalues come back ordered by nonincreasing magnitude, lower index
     first on ties, with the eigenvectors permuted to match.
     """
@@ -197,32 +198,44 @@ def seigh(A, ens):
             f"ensemble dimension {ens.dim} does not match operator dimension {A.dim}"
         )
 
-    outer_sketch = A.apply(ens.omega_outer)                   # D x n_o
-    M_inner = ens.upsilon.T @ outer_sketch                    # outer columns of M_I
-    if ens.n_inner > ens.n_outer:
-        M_inner = np.hstack([ens.upsilon.T @ A.apply(ens.omega_inner), M_inner])
-    if not np.isfinite(M_inner).all():  # also catches a non-finite outer sketch
+    outer = slice(ens.n_inner - ens.n_outer, ens.n_inner)
+    sketch = A.apply(ens.omega_full)                          # D x n_i
+    M_inner = ens.upsilon.T @ sketch                          # n_i x n_i
+    if not np.isfinite(M_inner).all():  # also catches a non-finite sketch
         raise ContractViolation("inner sketch is not finite: the operator's products overflow")
+    outer_sketch = sketch[:, outer].copy()                    # D x n_o
+    del sketch
 
-    Q = orthonormal_range(outer_sketch)                       # D x r
-    if Q.shape[1] == 0:
-        raise ContractViolation("outer sketch has numerical rank 0")
-    core = _core(ens.upsilon, Q, M_inner, ens.omega_full)     # r x r
+    basis, rinv1, rinv2 = range_factors(outer_sketch)
+    del outer_sketch
+    if rinv2 is None:  # Householder: basis is Q, D x r
+        if basis.shape[1] == 0:
+            raise ContractViolation("outer sketch has numerical rank 0")
+        left, right = ens.upsilon.T @ basis, ens.omega_full.T @ basis
+    else:  # CholeskyQR2: basis is B, D x n_o
+        left = M_inner[:, outer] @ (rinv1 @ rinv2)
+        right = (ens.omega_full.T @ basis) @ rinv2
+    half = _lstsq_minnorm(left, M_inner, "left core")         # r x n_i
+    core = _lstsq_minnorm(right, half.T, "right core").T      # r x r
+    if not np.isfinite(core).all():
+        raise ContractViolation("sketch core is not finite: its solves overflow")
 
-    # rescaled by a power of two so that neither norm overflows or underflows
-    scaled = np.ldexp(core, -np.frexp(np.abs(core).max())[1])
+    # rescaled by a power of two so that neither the norms nor the
+    # symmetrization overflow or underflow
+    exponent = np.frexp(np.abs(core).max())[1]
+    scaled = np.ldexp(core, -exponent)
     core_norm = np.linalg.norm(scaled)
     asymmetry = 0.0 if core_norm == 0 else float(
         np.linalg.norm(scaled - scaled.T) / core_norm
     )
-    core = 0.5 * (core + core.T)
-    if not np.isfinite(core).all():
-        raise ContractViolation("sketch core is not finite: its solves or symmetrization overflow")
-
-    eigvals, U = np.linalg.eigh(core)
+    eigvals, U = np.linalg.eigh(0.5 * (scaled + scaled.T))
     order = magnitude_ranking(eigvals)
-    return SketchedEigh(vectors=Q @ U[:, order], eigvals=eigvals[order],
-                        core_asymmetry=asymmetry)
+    with np.errstate(over="ignore"):
+        eigvals = np.ldexp(eigvals[order], exponent)
+    if not np.isfinite(eigvals).all():
+        raise ContractViolation("sketch eigenvalues are not finite: they pass the float range")
+    U = U[:, order] if rinv2 is None else rinv2 @ U[:, order]
+    return SketchedEigh(vectors=basis @ U, eigvals=eigvals, core_asymmetry=asymmetry)
 
 
 def residual_probe_norms(A, dec, n_probe, seed):

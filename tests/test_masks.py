@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from grassket.grassmann import OrthonormalBasis, overlap, sample_stiefel
-from grassket.masks import (SparseMask, hamming, iou, mask_basis,
-                            mask_eigenspace_overlap, sample_mask,
+from grassket.masks import (SparseMask, hamming, iou, magnitude_ranking, mask_basis,
+                            mask_eigenspace_overlap, nested_mask_overlaps, sample_mask,
                             topk_magnitude_mask)
 from grassket.operators import eigh_by_magnitude, make_planted_operator
 
@@ -81,6 +81,19 @@ def test_mask_eigenspace_overlap_matches_general_overlap():
         basis = sample_stiefel(30, k, int(rng.integers(2**63)))
         direct = mask_eigenspace_overlap(mask, basis, k)
         assert abs(direct - overlap(mask_basis(mask), basis)) <= 1e-10
+
+
+def test_nested_mask_overlaps_match_the_overlap_of_each_top_k_mask():
+    # the running sum gives, for every k, the overlap of the top-k magnitude
+    # mask with the leading k vectors, as the subspace overlap computes it
+    dim, k_max = 40, 12
+    theta = np.random.default_rng(8).standard_normal(dim)
+    vectors = sample_stiefel(dim, k_max, 9).columns
+    nested = nested_mask_overlaps(vectors[magnitude_ranking(theta)[:k_max]])
+    assert len(nested) == k_max
+    for k, value in enumerate(nested, start=1):
+        basis = OrthonormalBasis(vectors[:, :k], check=False)
+        assert abs(value - overlap(mask_basis(topk_magnitude_mask(theta, k)), basis)) <= 1e-15
 
 
 def test_mask_eigenspace_overlap_chance_level_on_haar_operator():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from grassket.errors import ContractViolation, IntegrityError
-from grassket.grassmann import DEGENERATE_COL_RTOL, OrthonormalBasis, overlap
+from grassket.grassmann import (DEGENERATE_COL_RTOL, OrthonormalBasis, orthonormal_range,
+                                overlap, range_factors)
 from grassket.masks import SparseMask
 from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitude,
                                 make_planted_operator)
@@ -184,7 +185,78 @@ def test_measurement_budget():
     counter = CountingOperator(op)
     seigh(counter, draw_measurements(64, n_inner, n_outer, seed=1))
     assert counter.applied_columns == n_inner
-    assert counter.calls == 2  # one outer block, one inner block
+    assert counter.calls == 1  # one block of all n_inner columns
+
+
+def _explicit_q_seigh(A, ens):
+    """The sketch with an explicit range basis Q: the outer and inner blocks
+    applied separately, upsilon^T Q and omega_full^T Q as products over D,
+    the core symmetrized unscaled and the eigenvectors formed as Q U."""
+    outer_sketch = A.apply(ens.omega_outer)
+    M = ens.upsilon.T @ np.hstack([A.apply(ens.omega_inner), outer_sketch])
+    Q = orthonormal_range(outer_sketch)
+    half = np.linalg.lstsq(ens.upsilon.T @ Q, M, rcond=None)[0]
+    core = np.linalg.lstsq(ens.omega_full.T @ Q, half.T, rcond=None)[0].T
+    eigvals, U = np.linalg.eigh(0.5 * (core + core.T))
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    return eigvals[order], Q @ U[:, order]
+
+
+def _signed_dense(dim, seed):
+    # distinct magnitudes, alternating signs
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    eigvals = 0.8 ** np.arange(dim) * (-1.0) ** np.arange(dim)
+    matrix = (basis * eigvals) @ basis.T
+    return DenseOperator(0.5 * (matrix + matrix.T))
+
+
+@pytest.mark.parametrize("make,n_outer,k,falls_back", [
+    (lambda: make_planted_operator(300, 0.8 ** np.arange(60), None, 0.0, seed=1), 30, 10, False),
+    (lambda: make_planted_operator(150, np.arange(20, 0, -1.0), None, 0.0, seed=4), 25, 10, True),
+    (lambda: _signed_dense(80, seed=5), 20, 5, False),
+    (lambda: make_planted_operator(300, 2.0 ** 600 * 0.8 ** np.arange(60), None, 0.0, 1),
+     30, 10, False),
+    (lambda: make_planted_operator(300, 2.0 ** -600 * 0.8 ** np.arange(60), None, 0.0, 1),
+     30, 10, False),
+    (lambda: make_planted_operator(150, 2.0 ** 600 * np.arange(20, 0, -1.0), None, 0.0, 4),
+     25, 10, True),
+], ids=["decaying", "rank-deficient", "signed-dense", "scaled-up", "scaled-down",
+        "rank-deficient-scaled-up"])
+def test_seigh_matches_the_explicit_range_basis(make, n_outer, k, falls_back):
+    # bounds fixed before the comparison was run: eigenvalues within
+    # 1e-12 |lambda_1| and top-k eigenspace overlap within 1e-12 of 1; every
+    # case has an eigengap of at least 2% of |lambda_1| after the k-th value
+    op = make()
+    ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer + 7)
+    assert (range_factors(op.apply(ens.omega_outer))[2] is None) == falls_back
+    eigvals, vectors = _explicit_q_seigh(op, ens)
+    dec = seigh(op, ens)
+    assert dec.rank == len(eigvals)
+    assert np.abs(dec.eigvals - eigvals).max() <= 1e-12 * abs(eigvals[0])
+    assert overlap(dec.eigenbasis(k), OrthonormalBasis(vectors[:, :k])) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("eigvals,bound", [
+    (100 * 0.9 ** np.arange(200), 7.290),
+    (np.arange(60, 0, -1.0), 7.228),
+], ids=["cholesky-qr2", "householder"])
+def test_draw_and_seigh_peak_memory(eigvals, bound):
+    # traced peak of the draw plus seigh in units of D x n_outer doubles.  The
+    # bounds are the peaks of the sketch that applied the operator in two
+    # blocks and formed Q, 7.28976 and 7.22725, rounded up in the third
+    # decimal (by less than one D-vector)
+    dim, n_outer = 3000, 100
+    op = make_planted_operator(dim, eigvals, None, 0.0, seed=3)
+    seigh(op, draw_measurements(dim, 21, 10, seed=0))  # imports and caches before tracing
+    tracemalloc.start()
+    try:
+        dec = seigh(op, draw_measurements(dim, 2 * n_outer + 1, n_outer, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.rank == min(n_outer, len(eigvals))
+    assert peak <= bound * dim * n_outer * 8
 
 
 def test_seigh_reports_numerical_rank_without_warning(caplog):
@@ -273,13 +345,31 @@ def test_seigh_refuses_an_inner_sketch_that_overflows():
         seigh(DenseOperator(matrix), draw_measurements(200, 41, 20, 0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_seigh_refuses_a_core_that_overflows():
-    # the inner block holds +-1e308, but the core's symmetrization doubles it
+@pytest.mark.filterwarnings("error")
+def test_seigh_symmetrizes_a_core_near_the_float_maximum():
+    # the inner block holds +-1e308, which doubles past the float range when
+    # the core is symmetrized unscaled
     matrix = np.zeros((12, 12))
     matrix[0, 0] = 1e308
-    with pytest.raises(ContractViolation, match="sketch core is not finite"):
-        seigh(DenseOperator(matrix), draw_measurements(12, 7, 3, 0))
+    dec = seigh(DenseOperator(matrix), draw_measurements(12, 7, 3, 0))
+    assert dec.rank == 1
+    assert dec.eigvals[0] == pytest.approx(1e308, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed,message", [
+    (1, "sketch core is not finite"),
+    (37, "sketch eigenvalues are not finite"),
+])
+def test_seigh_refuses_a_core_past_the_float_range(seed, message):
+    # a full-rank operator near the float maximum seen through a two-column
+    # sketch: the core's solves amplify what the sketch misses, past the
+    # float range, or its eigenvalues pass it
+    half = np.random.default_rng(seed).standard_normal((12, 12))
+    matrix = half + half.T
+    matrix *= 1e307 / np.abs(matrix).max()
+    with pytest.raises(ContractViolation, match=message):
+        seigh(DenseOperator(matrix), draw_measurements(12, 2, 2, seed))
 
 
 # ---------------------------------------------------------------------------
