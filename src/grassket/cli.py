@@ -157,7 +157,8 @@ def cmd_curve(args):
     op, mask = _operator_from_args(args)
     if args.top_k is None:
         args.top_k = min(args.n_outer, op.unique_rank)
-    theta = experiments.ranked_theta(op.dim, mask.indices, args.theta_seed)
+    # the curve reads only theta's magnitude ranking, which no seed changes
+    theta = experiments.ranked_theta(op.dim, mask.indices, seed=1)
     curve = experiments.overlap_curve(op, theta, args.n_outer, args.n_inner,
                                       args.top_k, args.seed)
     out = _write_config(args)
@@ -287,8 +288,6 @@ def build_parser():
     p.add_argument("--top-k", type=int, default=None,
                    help="largest mask size (default min(n_outer, planted rank); "
                         "the planted rank counts nonzero eigenvalues)")
-    p.add_argument("--theta-seed", type=int, default=1,
-                   help="seed of the synthetic parameter vector")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("verify", help="run built-in self tests")

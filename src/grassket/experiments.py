@@ -170,16 +170,14 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
     Every (D, rho, modality) group draws ``samples`` independent pairs, and
     every requested metric reads its row off those same pairs, so the rows
     of one group are not independent of each other; groups are.  Child
-    stream i of ``seed`` belongs to the i-th (D, rho, metric, modality) cell
-    in row order, and a group draws from the stream of its first-metric
-    cell: the first metric's rows are the ones that cell gives when it draws
-    on its own.  Duplicate grid entries and out-of-range values are refused
-    before any pair is drawn.  The result is reproducible bit for bit at a
-    fixed BLAS thread count: groups with k > ``ONE_THREAD_MAX_K`` run at
-    default threads (see ``_sample_pairs``), and their Gram products round
-    differently on one thread and on two.  A pair with a Haar side costs
-    O(k^2) random numbers and the Gram product of a stand-in of at most 2k
-    rows (``_pair_sample``).
+    stream i of ``seed`` belongs to the i-th (D, rho, modality) group, with
+    modality varying fastest.  Duplicate grid entries and out-of-range
+    values are refused before any pair is drawn.  The result is
+    reproducible bit for bit at a fixed BLAS thread count: groups with
+    k > ``ONE_THREAD_MAX_K`` run at default threads (see ``_sample_pairs``),
+    and their Gram products round differently on one thread and on two.  A
+    pair with a Haar side costs O(k^2) random numbers and the Gram product
+    of a stand-in of at most 2k rows (``_pair_sample``).
     """
     dim_grid = [int(d) for d in dim_grid]
     rho_grid = [float(r) for r in rho_grid]
@@ -202,14 +200,13 @@ def run_baseline(dim_grid, rho_grid, modalities, metrics, samples, seed):
         raise ValueError("need at least 2 samples per cell")
     points = [(dim, rho, rho_to_k(dim, rho)) for dim in dim_grid for rho in rho_grid]
 
-    block = len(metrics) * len(modalities)
-    streams = np.random.SeedSequence(seed).spawn(len(points) * block)
+    streams = np.random.SeedSequence(seed).spawn(len(points) * len(modalities))
     rows = []
     for index, (dim, rho, k) in enumerate(points):
-        first = streams[index * block:index * block + len(modalities)]
+        group = streams[index * len(modalities):(index + 1) * len(modalities)]
         values = [_sample_pairs(modality, metrics, np.random.default_rng(stream),
                                 dim, k, samples)
-                  for modality, stream in zip(modalities, first)]
+                  for modality, stream in zip(modalities, group)]
         for j, kind in enumerate(metrics):
             for modality, sampled in zip(modalities, values):
                 column = sampled[j]

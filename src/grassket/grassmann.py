@@ -8,7 +8,7 @@ Q1^T Q2.  Each distance comes with its analytic maximum, which normalizes it
 into a [0, 1] similarity; the overlap similarity needs no normalization and
 has the closed-form chance level k/D for uniformly random subspaces.  Every
 orthonormal basis the package forms comes from one body, ``range_factors``:
-CholeskyQR2 with one Householder fallback.  ``orthonormal_range`` forms its
+CholeskyQR2 with one thin-SVD fallback.  ``orthonormal_range`` forms its
 Q, and ``sketch.seigh`` uses its factors without forming Q.  Uniform (Haar)
 bases come from one sampler, its Q factor of a Gaussian matrix; ``qr_rows``
 reads k rows of such a basis off one Gram product, and ``haar_rows`` gives k
@@ -255,16 +255,6 @@ def overlap(b1, b2):
     return float(np.sum(prod * prod) / b1.rank)
 
 
-def positive_qr(matrix):
-    """Householder QR with Q and R signed so diag(R) >= 0; for a Gaussian
-    matrix Q is Haar distributed."""
-    Q, R = np.linalg.qr(matrix)
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-    Q *= signs
-    R *= signs[:, None]
-    return Q, R
-
-
 def _upper_triangular_inverse(upper):
     """Inverse of an upper-triangular matrix by 2 x 2 block recursion, so the
     bulk of the work runs as matrix products."""
@@ -304,9 +294,11 @@ def range_factors(matrix):
     further than ||B^T B - I||_F = 1/2 from orthonormal.  That deviation
     grows like eps * cond(matrix)^2, so an accepted matrix has cond(matrix)
     below about 1e8 and full rank.  Otherwise the result is ``(Q, None,
-    None)`` with Q from positive_qr's Householder QR; the rank counts the
-    singular values of its R above DEGENERATE_COL_RTOL * ||matrix||_F, and
-    below full rank Q is compressed onto R's leading left singular vectors.
+    None)``, with Q the leading left singular vectors of one thin SVD
+    (LAPACK's gesdd, which for a tall matrix runs a Householder QR, the SVD
+    of its R and their product in one call; Halko, Martinsson & Tropp 2011,
+    sections 4-5): as many as there are singular values above
+    DEGENERATE_COL_RTOL * ||matrix||_F, the numerical rank.
     A matrix whose squared Frobenius norm lies outside _GRAM_RANGE is first
     rescaled by a power of two, which changes no bit of B, R2^-1 or Q; R1^-1
     is scaled back, so it stays the inverse factor of the matrix as given.
@@ -329,18 +321,19 @@ def range_factors(matrix):
         # comparison is false for a non-finite first pass, which falls back
         if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
             return first, np.ldexp(rinv, -exponent), _inverse_cholesky_factor(gram)
-    Q, R = positive_qr(matrix)
-    left, singvals, _ = np.linalg.svd(R)
+    left, singvals, _ = np.linalg.svd(matrix, full_matrices=False)
     rank = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(matrix)))
-    return (Q if rank == matrix.shape[1] else Q @ left[:, :rank]), None, None
+    return left[:, :rank], None, None
 
 
 def orthonormal_range(matrix):
     """Orthonormal basis Q of the column span of a tall matrix, with the
     numerical rank as its column count: B R2^-1 from range_factors'
-    CholeskyQR2, or its Householder Q.  At full rank both paths give the
-    matrix a triangular factor with a nonnegative diagonal, so Q is
-    positive_qr's up to rounding, and Haar distributed for a Gaussian matrix.
+    CholeskyQR2, or its thin-SVD Q.  CholeskyQR2 gives the matrix a
+    triangular factor with a positive diagonal, so its Q is sign-fixed
+    Householder QR's up to rounding, and Haar distributed for a Gaussian
+    matrix.  The fallback's Q spans the same numerical range; at full rank
+    it is a right rotation of that Householder Q.
     """
     basis, _, rinv = range_factors(matrix)
     return basis if rinv is None else basis @ rinv

@@ -181,7 +181,7 @@ def seigh(A, ens):
     Y = Q R2 R1 with Q = B R2^-1, and Q is never formed: upsilon^T Q is read
     off the inner block as M[:, outer] R1^-1 R2^-1, omega_full^T Q is
     (omega_full^T B) R2^-1, and the eigenvectors are B (R2^-1 U).  On its
-    Householder path Q is explicit, and both products and Q U are formed
+    thin-SVD fallback Q is explicit, and both products and Q U are formed
     from it.  The small core C = (upsilon^T Q)^+ M ((omega_full^T Q)^+)^T
     comes from two least-squares solves (Tropp et al. 2019, see the module
     docstring).  It is symmetrized and eigendecomposed in a copy rescaled by
@@ -208,7 +208,7 @@ def seigh(A, ens):
 
     basis, rinv1, rinv2 = range_factors(outer_sketch)
     del outer_sketch
-    if rinv2 is None:  # Householder: basis is Q, D x r
+    if rinv2 is None:  # thin SVD: basis is Q, D x r
         if basis.shape[1] == 0:
             raise ContractViolation("outer sketch has numerical rank 0")
         left, right = ens.upsilon.T @ basis, ens.omega_full.T @ basis

@@ -201,7 +201,6 @@ BAD_FLAG_VALUES = {
         ("curve",), "top-k", st.integers(max_value=0) | st.integers(min_value=4)),
     "negative-seed": (("decompose", "curve", "verify"), "seed", _NEGATIVE),
     "negative-planted-seed": (_PLANTED_COMMANDS, "planted-seed", _NEGATIVE),
-    "negative-theta-seed": (("curve",), "theta-seed", _NEGATIVE),
     "verify-samples-below-thirty": (("verify",), "samples", st.integers(max_value=29)),
     **{f"store-{flag}-below-one": (("store-create",), flag, st.integers(max_value=0))
        for flag in ("rows", "cols", "chunk-cols")},
@@ -705,7 +704,7 @@ def test_help_documents_flags(capsys):
                                    "--dense-store", "--output-dir", "--seed"]),
         (["baseline", "--help"], ["--dims", "--rhos", "--modalities",
                                   "--metrics", "--samples"]),
-        (["curve", "--help"], ["--top-k", "--planted-alignment", "--theta-seed"]),
+        (["curve", "--help"], ["--top-k", "--planted-alignment"]),
     ]:
         with pytest.raises(SystemExit) as info:
             main(args)
@@ -735,7 +734,7 @@ OPTION_STRINGS = {
                  "--samples"},
     "curve": {"--output-dir", "--seed", "--planted-dim", "--planted-rank", "--eigvals",
               "--planted-alignment", "--planted-seed", "--mask-indices", "--n-outer",
-              "--n-inner", "--top-k", "--theta-seed"},
+              "--n-inner", "--top-k"},
     "verify": {"--output-dir", "--seed", "--samples"},
     "store create": {"--path", "--rows", "--cols", "--chunk-cols", "--fill-seed",
                      "--overwrite"},

@@ -5,10 +5,12 @@ import pytest
 
 from grassket import operators
 from grassket.errors import ContractViolation
-from grassket.grassmann import OrthonormalBasis, positive_qr, stiefel_from_rng
+from grassket.grassmann import OrthonormalBasis, stiefel_from_rng
 from grassket.masks import SparseMask, magnitude_ranking, mask_eigenspace_overlap
 from grassket.operators import (CountingOperator, DenseOperator, PlantedOperator,
                                 eigh_by_magnitude, make_planted_operator)
+
+from householder import positive_qr
 
 
 def exact_topk_overlap(op, mask, k):

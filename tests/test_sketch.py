@@ -14,6 +14,8 @@ from grassket.operators import (CountingOperator, DenseOperator, eigh_by_magnitu
 from grassket.sketch import (SketchedEigh, draw_measurements, load_sketched_eigh,
                              residual_probe_norms, save_sketched_eigh, seigh)
 
+from householder import householder_range
+
 
 # ---------------------------------------------------------------------------
 # measurement ensembles
@@ -188,13 +190,14 @@ def test_measurement_budget():
     assert counter.calls == 1  # one block of all n_inner columns
 
 
-def _explicit_q_seigh(A, ens):
-    """The sketch with an explicit range basis Q: the outer and inner blocks
-    applied separately, upsilon^T Q and omega_full^T Q as products over D,
-    the core symmetrized unscaled and the eigenvectors formed as Q U."""
+def _explicit_q_seigh(A, ens, range_basis):
+    """The sketch with an explicit range basis Q = range_basis(outer sketch):
+    the outer and inner blocks applied separately, upsilon^T Q and
+    omega_full^T Q as products over D, the core symmetrized unscaled and the
+    eigenvectors formed as Q U."""
     outer_sketch = A.apply(ens.omega_outer)
     M = ens.upsilon.T @ np.hstack([A.apply(ens.omega_inner), outer_sketch])
-    Q = orthonormal_range(outer_sketch)
+    Q = range_basis(outer_sketch)
     half = np.linalg.lstsq(ens.upsilon.T @ Q, M, rcond=None)[0]
     core = np.linalg.lstsq(ens.omega_full.T @ Q, half.T, rcond=None)[0].T
     eigvals, U = np.linalg.eigh(0.5 * (core + core.T))
@@ -226,11 +229,14 @@ def _signed_dense(dim, seed):
 def test_seigh_matches_the_explicit_range_basis(make, n_outer, k, falls_back):
     # bounds fixed before the comparison was run: eigenvalues within
     # 1e-12 |lambda_1| and top-k eigenspace overlap within 1e-12 of 1; every
-    # case has an eigengap of at least 2% of |lambda_1| after the k-th value
+    # case has an eigengap of at least 2% of |lambda_1| after the k-th value.
+    # The fallback cases take their reference basis from Householder QR and
+    # the SVD of its R, which seigh's one thin SVD replaces
     op = make()
     ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer + 7)
     assert (range_factors(op.apply(ens.omega_outer))[2] is None) == falls_back
-    eigvals, vectors = _explicit_q_seigh(op, ens)
+    eigvals, vectors = _explicit_q_seigh(
+        op, ens, householder_range if falls_back else orthonormal_range)
     dec = seigh(op, ens)
     assert dec.rank == len(eigvals)
     assert np.abs(dec.eigvals - eigvals).max() <= 1e-12 * abs(eigvals[0])
@@ -287,20 +293,21 @@ def test_seigh_numerical_rank_full_and_zero():
      30, True),
 ], ids=["decaying", "flat", "rank-5", "rank-20", "zero", "cond-1e11"])
 def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer, falls_back):
-    # the fallback is the only Householder QR seigh runs
+    # the fallback is the only SVD seigh runs; the expected rank counts the
+    # singular values of the Householder R
     op = make()
     ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer)
     sketch = op.apply(ens.omega_outer)
     singvals = np.linalg.svd(np.linalg.qr(sketch, mode="r"), compute_uv=False)
     expected = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(sketch)))
     calls = []
-    householder = np.linalg.qr
+    svd = np.linalg.svd
 
     def spy(m, *args, **kwargs):
         calls.append(m.shape)
-        return householder(m, *args, **kwargs)
+        return svd(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
+    monkeypatch.setattr(np.linalg, "svd", spy)
     if expected == 0:
         with pytest.raises(ContractViolation, match="outer sketch has numerical rank 0"):
             seigh(op, ens)
