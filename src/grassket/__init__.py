@@ -14,4 +14,4 @@ from .operators import (CountingOperator, DenseOperator, LinearOperator,
                         PlantedOperator, eigh_by_magnitude, make_planted_operator)
 from .sketch import MeasurementEnsemble, SketchedEigh, draw_measurements, seigh
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -9,11 +9,11 @@ into a [0, 1] similarity; the overlap similarity needs no normalization and
 has the closed-form chance level k/D for uniformly random subspaces.  Every
 orthonormal basis the package forms comes from one body, ``range_factors``:
 CholeskyQR2 with one thin-SVD fallback.  ``orthonormal_range`` forms its
-Q, and ``sketch.seigh`` uses its factors without forming Q.  Uniform (Haar)
-bases come from one sampler, its Q factor of a Gaussian matrix; ``qr_rows``
-reads k rows of such a basis off one Gram product, and ``haar_rows`` gives k
-rows of a D x k one from a stand-in of at most 2k rows whose Gram is drawn
-through its Bartlett factor.
+Q in place of the first pass, and ``sketch.seigh`` uses its factors without
+forming Q.  Uniform (Haar) bases come from one sampler, its Q factor of a
+Gaussian matrix; ``qr_rows`` reads k rows of such a basis off one Gram
+product, and ``haar_rows`` gives k rows of a D x k one from a stand-in of
+at most 2k rows whose Gram is drawn through its Bartlett factor.
 """
 
 from dataclasses import dataclass
@@ -73,6 +73,11 @@ _COND_STEPS = 8
 
 # below this order an upper-triangular inverse is one LAPACK call
 _TRIANGULAR_BLOCK = 64
+
+# orthonormal_range multiplies its first pass by R2^-1 in blocks of at
+# least this many rows.  Blocks of 2048 rows that left a tail of 1 to 33
+# rows changed the product's bits; nearly equal blocks this tall did not
+_PRODUCT_ROWS = 1024
 
 
 class OrthonormalBasis:
@@ -333,10 +338,19 @@ def orthonormal_range(matrix):
     triangular factor with a positive diagonal, so its Q is sign-fixed
     Householder QR's up to rounding, and Haar distributed for a Gaussian
     matrix.  The fallback's Q spans the same numerical range; at full rank
-    it is a right rotation of that Householder Q.
+    it is a right rotation of that Householder Q.  B R2^-1 overwrites B in
+    nearly equal row blocks of at least _PRODUCT_ROWS rows, so Q takes no
+    second D-sized array, and each block's product has the bits of the
+    whole one.
     """
     basis, _, rinv = range_factors(matrix)
-    return basis if rinv is None else basis @ rinv
+    if rinv is not None:
+        dim = len(basis)
+        count = max(1, dim // _PRODUCT_ROWS)
+        for i in range(count):
+            rows = slice(i * dim // count, (i + 1) * dim // count)
+            basis[rows] = basis[rows] @ rinv
+    return basis
 
 
 def _gram_condition(gram, rinv):

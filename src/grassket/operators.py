@@ -206,7 +206,9 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
     basis is rotated onto the Haar one (orthogonal Procrustes) before
     blending, which makes the exact mask/eigenspace overlap nondecreasing in
     ``alignment``: in the aligned frame the blend reduces to independent
-    planar rotations, one per principal angle.
+    planar rotations, one per principal angle.  The blend overwrites the
+    Haar draw and is orthonormalized in place, so the build holds about two
+    D x r arrays at its peak.
 
     Parameters
     ----------
@@ -246,11 +248,11 @@ def make_planted_operator(dim, eigvals, mask_target, alignment, seed):
         # Procrustes: rotate the supported basis onto the Haar one so the
         # blend below interpolates along principal-angle planes.
         W, _, Vt = np.linalg.svd(supported.T @ haar[rows])
-        blend = (1.0 - alignment) * haar
-        blend[rows] += alignment * (supported @ (W @ Vt))
+        haar *= 1.0 - alignment
+        haar[rows] += alignment * (supported @ (W @ Vt))
         # per plane it blends two unit vectors at most pi/2 apart, so its
         # singular values are at least 1/sqrt(2) and CholeskyQR2 is safe
-        basis = orthonormal_range(blend)
+        basis = orthonormal_range(haar)
 
     return PlantedOperator(basis, eigvals)
 

@@ -15,20 +15,22 @@ V = Q U and Lambda.
 
 ``seigh`` accesses the operator only through block application, so it runs
 unchanged on implicit operators of any size; the measurement maps are dense
-random signs, and all remaining work happens on thin (D x n_outer) or small
+random signs, redrawn from their seed where they are used rather than held
+whole, and all remaining work happens on thin (D x n_outer) or small
 (n_inner x n_inner) matrices.  The range basis of the outer sketch, as in
 the range finder of Halko, Martinsson & Tropp (SIAM Review 2011), comes
 from ``grassmann.range_factors`` and keeps only the sketch's numerical
 rank r, so the core is r x r and a decomposition holds r eigenpairs.  Where
 that basis comes from CholeskyQR2, Q is never formed: its products with the
 measurement maps and with U come from CholeskyQR2's first pass and its two
-triangular factors (Fukaya et al. 2014), one of them read off the inner
-block, so the sketch adds no D-sized product that the algorithm does not
-need.
+triangular factors (Fukaya et al. 2014), the maps' products being read off
+the small blocks M and omega^T Y, so the sketch adds no D-sized product
+that the algorithm does not need.  The draw plus ``seigh`` then holds at most two D x n_inner
+arrays at once, about 4 D x n_outer doubles.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,28 +57,35 @@ def default_inner_count(n_outer):
     return 2 * n_outer + 1
 
 
-@dataclass
-class MeasurementEnsemble:
-    """Reproducible random-sign measurement matrices for one symmetric operator.
+# rows of one upsilon or omega_full block that seigh draws at a time.  A
+# multiple of 32, so a block of any column count is a whole number of the
+# 4-byte words rng.bytes draws, and consecutive blocks continue one stream
+_SIGN_BLOCK_ROWS = 2048
 
-    Two matrices are materialized: ``upsilon`` (dim x n_inner) and
-    ``omega_full`` (dim x n_inner), whose leading n_inner - n_outer columns
-    (``omega_inner``) and trailing n_outer columns (``omega_outer``) are views.
-    Every entry is an iid sign, +1 or -1 with probability 1/2 (Achlioptas
-    2003), the dense sign maps of Tropp et al. 2019; ``residual_probe_norms``
-    and ``storage.fill_gaussian`` keep Gaussian draws.  Streams 0, 1 and 2 of
-    the seed fill ``upsilon``, ``omega_inner`` and ``omega_outer`` in place,
-    one random bit per entry in row-major order.  ``seigh`` applies the
-    operator once, to ``omega_full``, and takes its range basis from the
-    trailing n_outer columns of that block, A @ omega_outer.
+
+@dataclass(frozen=True)
+class MeasurementEnsemble:
+    """Reproducible random-sign measurement maps for one symmetric operator.
+
+    The ensemble keeps its seed and shape only; its maps are drawn when
+    they are used.  ``upsilon`` and ``omega_full`` are dim x n_inner, and
+    the leading n_inner - n_outer columns of ``omega_full`` are
+    ``omega_inner``, the trailing n_outer ``omega_outer``.  Every entry is
+    an iid sign, +1 or -1 with probability 1/2 (Achlioptas 2003), the dense
+    sign maps of Tropp et al. 2019; ``residual_probe_norms`` and
+    ``storage.fill_gaussian`` keep Gaussian draws.  Streams 0, 1 and 2 of
+    the seed fill ``upsilon``, ``omega_inner`` and ``omega_outer``, one
+    random bit per entry in row-major order.  ``upsilon_blocks`` and
+    ``omega_blocks`` draw consecutive row blocks of a map from fresh
+    streams, and the blocks stack to the whole map bit for bit.  ``seigh``
+    applies the operator once, to ``omega_full``, and takes its range basis
+    from the trailing n_outer columns of that block, A @ omega_outer.
     """
 
     seed: int
     dim: int
     n_inner: int
     n_outer: int
-    upsilon: np.ndarray = field(init=False)
-    omega_full: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.n_outer <= self.n_inner:
@@ -88,22 +97,38 @@ class MeasurementEnsemble:
             raise ValueError(
                 f"n_inner={self.n_inner} exceeds operator dimension {self.dim}"
             )
-        streams = [np.random.default_rng(c)
-                   for c in np.random.SeedSequence(self.seed).spawn(3)]
-        self.upsilon = np.empty((self.dim, self.n_inner))
-        self.omega_full = np.empty((self.dim, self.n_inner))
-        for rng, block in zip(streams, (self.upsilon, self.omega_inner, self.omega_outer)):
-            _fill_signs(rng, block)
 
-    @property
-    def omega_inner(self):
-        """The leading dim x (n_inner - n_outer) columns of ``omega_full``."""
-        return self.omega_full[:, :self.n_inner - self.n_outer]
+    def upsilon_blocks(self, rows):
+        """Yield ``(row_slice, upsilon[row_slice])`` for consecutive blocks of
+        ``rows`` rows, the last one cut at dim."""
+        return self._blocks(rows, (0,), (self.n_inner,))
 
-    @property
-    def omega_outer(self):
-        """The trailing dim x n_outer columns of ``omega_full``."""
-        return self.omega_full[:, self.n_inner - self.n_outer:]
+    def omega_blocks(self, rows):
+        """Yield ``(row_slice, omega_full[row_slice])`` for consecutive blocks
+        of ``rows`` rows, the last one cut at dim."""
+        return self._blocks(rows, (1, 2), (self.n_inner - self.n_outer, self.n_outer))
+
+    def omega_full(self):
+        """The whole dim x n_inner ``omega_full``."""
+        return next(self.omega_blocks(self.dim))[1]
+
+    def _blocks(self, rows, stream_ids, widths):
+        # a block that is not the last must be a whole number of 4-byte
+        # words of every stream, or the next block would not continue it
+        if not (rows >= self.dim or (rows > 0 and rows % 32 == 0)):
+            raise ValueError(f"row blocks short of dim={self.dim} need a multiple "
+                             f"of 32 rows, got {rows}")
+        children = np.random.SeedSequence(self.seed).spawn(3)
+        streams = [np.random.default_rng(children[i]) for i in stream_ids]
+        for start in range(0, self.dim, rows):
+            stop = min(start + rows, self.dim)
+            block = np.empty((stop - start, self.n_inner))
+            left = 0
+            for rng, width in zip(streams, widths):
+                _fill_signs(rng, block[:, left:left + width])
+                left += width
+            yield slice(start, stop), block
+            del block  # so a caller that drops its block holds one at a time
 
 
 def _fill_signs(rng, block):
@@ -170,26 +195,47 @@ def _lstsq_minnorm(A, B, what):
     return solution
 
 
+def _block_products(blocks, matrix):
+    """The sum of block^T @ matrix[rows] over the ``(rows, block)`` pairs of
+    one map's row blocks: map^T @ matrix, one block drawn at a time."""
+    total = None
+    # a sum that overflows is not finite, which the caller checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block in blocks:
+            product = block.T @ matrix[rows]
+            del block  # before the next one is drawn
+            if total is None:
+                total = product
+            else:
+                total += product
+    return total
+
+
 def seigh(A, ens):
     """Sketched eigendecomposition of a symmetric linear operator.
 
     The operator is applied once, to the n_inner columns of omega_full, and
-    the inner block is the one product M = upsilon^T A omega_full.  The
-    outer sketch Y = A omega_outer, the trailing n_outer columns of that
-    application, is copied out and the D x n_inner block released before
-    ``grassmann.range_factors`` factors Y.  On its CholeskyQR2 path
-    Y = Q R2 R1 with Q = B R2^-1, and Q is never formed: upsilon^T Q is read
-    off the inner block as M[:, outer] R1^-1 R2^-1, omega_full^T Q is
-    (omega_full^T B) R2^-1, and the eigenvectors are B (R2^-1 U).  On its
-    thin-SVD fallback Q is explicit, and both products and Q U are formed
-    from it.  The small core C = (upsilon^T Q)^+ M ((omega_full^T Q)^+)^T
-    comes from two least-squares solves (Tropp et al. 2019, see the module
-    docstring).  It is symmetrized and eigendecomposed in a copy rescaled by
-    a power of two, so neither step overflows, and the eigenvalues are
-    scaled back.  Q spans the numerical range of the outer sketch, so the
-    result has as many eigenpairs as that range has dimensions, and
-    ContractViolation is raised when it has none, or when the inner block,
-    the core's solves or the eigenvalues pass the float range.
+    the inner block is the one product M = upsilon^T A omega_full.
+    omega_full is drawn whole for that application and released once
+    omega_full^T Y, with Y = A omega_outer the trailing n_outer columns of
+    the application, is formed; upsilon is never held whole, M being summed
+    over row blocks of it drawn in turn.  ``grassmann.range_factors``
+    factors Y as a view of the application, which is released after it.
+    On its CholeskyQR2 path Y = Q R2 R1 with Q = B R2^-1, and Q is never
+    formed: upsilon^T Q and omega_full^T Q are read off as
+    M[:, outer] R1^-1 R2^-1 and (omega_full^T Y) R1^-1 R2^-1, and the
+    eigenvectors are B (R2^-1 U).  On its thin-SVD fallback Q is explicit:
+    both products are summed over row blocks of upsilon and omega_full,
+    drawn again, and the eigenvectors are Q U.  So besides the result no
+    more than two D x n_inner arrays are held at once.  The small core
+    C = (upsilon^T Q)^+ M ((omega_full^T Q)^+)^T comes from two
+    least-squares solves (Tropp et al. 2019, see the module docstring).  It
+    is symmetrized and eigendecomposed in a copy rescaled by a power of two,
+    so neither step overflows, and the eigenvalues are scaled back.  Q spans
+    the numerical range of the outer sketch, so the result has as many
+    eigenpairs as that range has dimensions, and ContractViolation is
+    raised when it has none, or when the inner block, the core's solves or
+    the eigenvalues pass the float range.
     Eigenvalues come back ordered by nonincreasing magnitude, lower index
     first on ties, with the eigenvectors permuted to match.
     """
@@ -199,22 +245,25 @@ def seigh(A, ens):
         )
 
     outer = slice(ens.n_inner - ens.n_outer, ens.n_inner)
-    sketch = A.apply(ens.omega_full)                          # D x n_i
-    M_inner = ens.upsilon.T @ sketch                          # n_i x n_i
+    omega = ens.omega_full()
+    sketch = A.apply(omega)                                   # D x n_i
+    omega_y = omega.T @ sketch[:, outer]                      # n_i x n_o
+    del omega
+    M_inner = _block_products(ens.upsilon_blocks(_SIGN_BLOCK_ROWS), sketch)  # n_i x n_i
     if not np.isfinite(M_inner).all():  # also catches a non-finite sketch
         raise ContractViolation("inner sketch is not finite: the operator's products overflow")
-    outer_sketch = sketch[:, outer].copy()                    # D x n_o
-    del sketch
 
-    basis, rinv1, rinv2 = range_factors(outer_sketch)
-    del outer_sketch
+    basis, rinv1, rinv2 = range_factors(sketch[:, outer])
+    del sketch
     if rinv2 is None:  # thin SVD: basis is Q, D x r
         if basis.shape[1] == 0:
             raise ContractViolation("outer sketch has numerical rank 0")
-        left, right = ens.upsilon.T @ basis, ens.omega_full.T @ basis
+        left = _block_products(ens.upsilon_blocks(_SIGN_BLOCK_ROWS), basis)
+        right = _block_products(ens.omega_blocks(_SIGN_BLOCK_ROWS), basis)
     else:  # CholeskyQR2: basis is B, D x n_o
-        left = M_inner[:, outer] @ (rinv1 @ rinv2)
-        right = (ens.omega_full.T @ basis) @ rinv2
+        factor = rinv1 @ rinv2
+        left = M_inner[:, outer] @ factor
+        right = omega_y @ factor
     half = _lstsq_minnorm(left, M_inner, "left core")         # r x n_i
     core = _lstsq_minnorm(right, half.T, "right core").T      # r x r
     if not np.isfinite(core).all():

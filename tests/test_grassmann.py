@@ -10,7 +10,8 @@ from grassket.grassmann import (DEGENERATE_COL_RTOL, MetricKind, OrthonormalBasi
                                 PrincipalAngles, cross_angles, metric, metric_max,
                                 orthonormal_range, overlap, overlap_baseline,
                                 overlap_variance, principal_angles,
-                                qr_rows, sample_stiefel, similarity, stiefel_from_rng)
+                                qr_rows, range_factors, sample_stiefel, similarity,
+                                stiefel_from_rng)
 from grassket.masks import mask_basis, mask_from_rng
 
 from householder import positive_qr
@@ -250,6 +251,19 @@ def test_power_of_two_scale_changes_no_bit_of_the_range(exponent, rank):
     scaled_q = orthonormal_range(np.ldexp(matrix, exponent))
     assert np.array_equal(scaled_q, q)
     assert q.shape == (400, rank)
+
+
+@pytest.mark.parametrize("exponent", [0, 600])
+@pytest.mark.parametrize("dim,cols", [(1000, 10), (2049, 61), (4097, 100), (20000, 100)])
+def test_in_place_range_product_keeps_the_bits_of_the_whole_product(dim, cols, exponent):
+    # orthonormal_range overwrites CholeskyQR2's first pass with B R2^-1 one
+    # row block at a time (one block at dim 1000, 19 at dim 20000); the
+    # result equals the out-of-place product bit for bit.  Blocks of 2048
+    # rows that leave a 1-row tail at dims 2049 and 4097 do not
+    matrix = np.ldexp(np.random.default_rng(dim).standard_normal((dim, cols)), exponent)
+    first, _, rinv = range_factors(matrix)
+    assert rinv is not None
+    assert np.array_equal(orthonormal_range(matrix), first @ rinv)
 
 
 @settings(max_examples=80, deadline=None)

@@ -139,6 +139,22 @@ def test_planted_blend_is_householder_q_of_padded_blend(alignment):
     assert np.abs(op.basis - positive_qr(blend)[0]).max() <= 1e-13
 
 
+def test_planted_build_holds_two_basis_sized_arrays():
+    # the blend overwrites the Haar draw and is orthonormalized in place, so
+    # the traced peak is about two D x r arrays (2.103 measured), was 4.05
+    dim, r = 20000, 200
+    eigvals = 100 * 0.9 ** np.arange(r)
+    make_planted_operator(100, eigvals[:5], SparseMask(100, np.arange(5)), 0.5, 0)  # imports
+    tracemalloc.start()
+    try:
+        op = make_planted_operator(dim, eigvals, SparseMask(dim, np.arange(r)), 0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.basis.shape == (dim, r)
+    assert peak <= 2.2 * dim * r * 8
+
+
 def test_planted_alignment_out_of_range():
     mask = SparseMask(10, [0, 1, 2])
     with pytest.raises(ValueError):

@@ -21,22 +21,24 @@ from householder import householder_range
 # measurement ensembles
 
 
+def _upsilon(ens):
+    # the whole upsilon, as one block of all its rows
+    return next(ens.upsilon_blocks(ens.dim))[1]
+
+
 def test_measurements_deterministic():
     a = draw_measurements(8, 4, 2, seed=7)
     b = draw_measurements(8, 4, 2, seed=7)
-    assert np.array_equal(a.upsilon, b.upsilon)
-    assert np.array_equal(a.omega_inner, b.omega_inner)
-    assert np.array_equal(a.omega_outer, b.omega_outer)
+    assert np.array_equal(_upsilon(a), _upsilon(b))
+    assert np.array_equal(a.omega_full(), b.omega_full())
     c = draw_measurements(8, 4, 2, seed=8)
-    assert not np.array_equal(a.upsilon, c.upsilon)
+    assert not np.array_equal(_upsilon(a), _upsilon(c))
 
 
 def test_measurements_shapes_and_validation():
     ens = draw_measurements(16, 9, 4, seed=0)
-    assert ens.upsilon.shape == (16, 9)
-    assert ens.omega_inner.shape == (16, 5)
-    assert ens.omega_outer.shape == (16, 4)
-    assert ens.omega_full.shape == (16, 9)
+    assert _upsilon(ens).shape == (16, 9)
+    assert ens.omega_full().shape == (16, 9)
     with pytest.raises(ValueError):
         draw_measurements(16, 4, 9, seed=0)  # n_outer > n_inner
     with pytest.raises(ValueError):
@@ -52,37 +54,48 @@ def _reference_signs(rng, shape):
     return 1.0 - 2.0 * bits.ravel()[:size].reshape(shape)
 
 
-def test_omega_full_holds_both_streams_as_views():
-    ens = draw_measurements(16, 9, 4, seed=3)
-    assert np.shares_memory(ens.omega_outer, ens.omega_full)
-    assert np.shares_memory(ens.omega_inner, ens.omega_full)
-    # stream 1 fills the leading inner columns, stream 2 the trailing outer ones
-    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(5)]
-    assert np.array_equal(ens.upsilon, _reference_signs(streams[0], (16, 9)))
-    assert np.array_equal(ens.omega_full[:, :5], _reference_signs(streams[1], (16, 5)))
-    assert np.array_equal(ens.omega_full[:, 5:], _reference_signs(streams[2], (16, 4)))
+def _stacked(blocks, rows, dim):
+    # the blocks cover 0..dim in order, each but the last ``rows`` tall
+    blocks = list(blocks)
+    starts = [s.start for s, _ in blocks]
+    assert starts == list(range(0, dim, rows))
+    assert all(len(b) == s.stop - s.start for s, b in blocks)
+    assert all(len(b) == rows for _, b in blocks[:-1])
+    return np.vstack([b for _, b in blocks])
 
 
 @pytest.mark.parametrize("dim,n_inner,n_outer,seed", [
-    (16, 9, 4, 3), (16, 5, 5, 4), (9, 9, 2, 5), (3000, 201, 100, 6)])
+    (16, 9, 4, 3), (16, 5, 5, 4), (9, 9, 2, 5), (3000, 201, 100, 6), (100, 7, 3, 8)])
 def test_draw_matches_reference_streams(dim, n_inner, n_outer, seed):
     ens = draw_measurements(dim, n_inner, n_outer, seed=seed)
-    assert ens.omega_outer.base is ens.omega_full
-    assert ens.omega_inner.base is ens.omega_full
     # every entry is a sign; stream 0 fills upsilon, stream 1 the leading
     # inner columns, stream 2 the trailing outer ones
     split = n_inner - n_outer
-    for block in (ens.upsilon, ens.omega_full):
+    upsilon, omega = _upsilon(ens), ens.omega_full()
+    for block in (upsilon, omega):
         assert np.all(np.abs(block) == 1.0)
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
-    assert np.array_equal(ens.upsilon, _reference_signs(streams[0], (dim, n_inner)))
-    assert np.array_equal(ens.omega_inner, _reference_signs(streams[1], (dim, split)))
-    assert np.array_equal(ens.omega_outer, _reference_signs(streams[2], (dim, n_outer)))
+    assert np.array_equal(upsilon, _reference_signs(streams[0], (dim, n_inner)))
+    assert np.array_equal(omega[:, :split], _reference_signs(streams[1], (dim, split)))
+    assert np.array_equal(omega[:, split:], _reference_signs(streams[2], (dim, n_outer)))
+    # row blocks of 32 and 64 rows, of 96 (which divides none of the dims)
+    # and of all dim rows stack to the same signs bit for bit
+    for rows in (32, 64, 96, dim):
+        assert np.array_equal(_stacked(ens.upsilon_blocks(rows), rows, dim), upsilon)
+        assert np.array_equal(_stacked(ens.omega_blocks(rows), rows, dim), omega)
+
+
+def test_row_blocks_short_of_dim_split_on_whole_words():
+    ens = draw_measurements(100, 7, 3, seed=0)
+    for rows in (0, -32, 16, 48, 99):
+        with pytest.raises(ValueError, match="multiple of 32"):
+            next(ens.upsilon_blocks(rows))
+    assert len(list(ens.omega_blocks(100))) == len(list(ens.omega_blocks(150))) == 1
 
 
 def test_measurement_signs_are_fair():
     ens = draw_measurements(1030, 980, 300, seed=1)
-    for block in (ens.upsilon, ens.omega_full):
+    for block in (_upsilon(ens), ens.omega_full()):
         n = block.size
         assert n >= 10**6
         negative = np.count_nonzero(block == -1.0) / n
@@ -90,27 +103,37 @@ def test_measurement_signs_are_fair():
 
 
 def test_measurement_draw_allocates_no_block_size_temporary():
-    dim, n_inner, n_outer = 3000, 201, 100
-    draw_measurements(16, 9, 4, seed=0)  # imports numpy.random before tracing
+    # the ensemble holds no map; a row block is drawn with a temporary of
+    # a quarter of its size at most
+    dim, n_inner, n_outer, rows = 3000, 201, 100, 1024
+    next(draw_measurements(16, 9, 4, seed=0).omega_blocks(16))  # imports before tracing
     tracemalloc.start()
     try:
         ens = draw_measurements(dim, n_inner, n_outer, seed=9)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert tracemalloc.get_traced_memory()[1] < 10**4
     finally:
         tracemalloc.stop()
-    result = ens.upsilon.nbytes + ens.omega_full.nbytes
-    assert peak - result < dim * n_inner * 8 / 4
+    for blocks in (ens.upsilon_blocks(rows), ens.omega_blocks(rows)):
+        tracemalloc.start()
+        try:
+            _, block = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (rows, n_inner)
+        assert peak - block.nbytes < block.nbytes / 4
 
 
 def test_measurements_entrywise_mean():
-    ens = draw_measurements(1030, 980, 300, seed=1)
-    assert ens.upsilon.size >= 10**6
-    assert abs(ens.upsilon.mean()) <= 0.01
+    upsilon = _upsilon(draw_measurements(1030, 980, 300, seed=1))
+    assert upsilon.size >= 10**6
+    assert abs(upsilon.mean()) <= 0.01
 
 
 def test_measurements_column_norms_concentrate():
     ens = draw_measurements(1024, 300, 100, seed=2)
-    for block in (ens.upsilon, ens.omega_inner, ens.omega_outer):
+    omega = ens.omega_full()
+    for block in (_upsilon(ens), omega[:, :200], omega[:, 200:]):
         ratios = np.sum(block**2, axis=0) / 1024
         assert np.all((0.8 <= ratios) & (ratios <= 1.2))
 
@@ -195,11 +218,13 @@ def _explicit_q_seigh(A, ens, range_basis):
     the outer and inner blocks applied separately, upsilon^T Q and
     omega_full^T Q as products over D, the core symmetrized unscaled and the
     eigenvectors formed as Q U."""
-    outer_sketch = A.apply(ens.omega_outer)
-    M = ens.upsilon.T @ np.hstack([A.apply(ens.omega_inner), outer_sketch])
+    upsilon, omega = _upsilon(ens), ens.omega_full()
+    split = ens.n_inner - ens.n_outer
+    outer_sketch = A.apply(omega[:, split:])
+    M = upsilon.T @ np.hstack([A.apply(omega[:, :split]), outer_sketch])
     Q = range_basis(outer_sketch)
-    half = np.linalg.lstsq(ens.upsilon.T @ Q, M, rcond=None)[0]
-    core = np.linalg.lstsq(ens.omega_full.T @ Q, half.T, rcond=None)[0].T
+    half = np.linalg.lstsq(upsilon.T @ Q, M, rcond=None)[0]
+    core = np.linalg.lstsq(omega.T @ Q, half.T, rcond=None)[0].T
     eigvals, U = np.linalg.eigh(0.5 * (core + core.T))
     order = np.argsort(-np.abs(eigvals), kind="stable")
     return eigvals[order], Q @ U[:, order]
@@ -214,27 +239,34 @@ def _signed_dense(dim, seed):
     return DenseOperator(0.5 * (matrix + matrix.T))
 
 
-@pytest.mark.parametrize("make,n_outer,k,falls_back", [
-    (lambda: make_planted_operator(300, 0.8 ** np.arange(60), None, 0.0, seed=1), 30, 10, False),
-    (lambda: make_planted_operator(150, np.arange(20, 0, -1.0), None, 0.0, seed=4), 25, 10, True),
-    (lambda: _signed_dense(80, seed=5), 20, 5, False),
+@pytest.mark.parametrize("make,n_outer,k,falls_back,seed", [
+    (lambda: make_planted_operator(300, 0.8 ** np.arange(60), None, 0.0, seed=1), 30, 10, False,
+     37),
+    (lambda: make_planted_operator(150, np.arange(20, 0, -1.0), None, 0.0, seed=4), 25, 10, True,
+     32),
+    (lambda: _signed_dense(80, seed=5), 20, 5, False, 27),
     (lambda: make_planted_operator(300, 2.0 ** 600 * 0.8 ** np.arange(60), None, 0.0, 1),
-     30, 10, False),
+     30, 10, False, 37),
     (lambda: make_planted_operator(300, 2.0 ** -600 * 0.8 ** np.arange(60), None, 0.0, 1),
-     30, 10, False),
+     30, 10, False, 37),
     (lambda: make_planted_operator(150, 2.0 ** 600 * np.arange(20, 0, -1.0), None, 0.0, 4),
-     25, 10, True),
+     25, 10, True, 32),
+    # CholeskyQR2 at cond(outer sketch) 1.0e8, near the edge of its certificate
+    (lambda: DenseOperator(np.diag(np.concatenate([np.logspace(0, -7, 30), np.zeros(170)]))),
+     30, 5, False, 7),
 ], ids=["decaying", "rank-deficient", "signed-dense", "scaled-up", "scaled-down",
-        "rank-deficient-scaled-up"])
-def test_seigh_matches_the_explicit_range_basis(make, n_outer, k, falls_back):
+        "rank-deficient-scaled-up", "cond-1e8"])
+def test_seigh_matches_the_explicit_range_basis(make, n_outer, k, falls_back, seed):
     # bounds fixed before the comparison was run: eigenvalues within
     # 1e-12 |lambda_1| and top-k eigenspace overlap within 1e-12 of 1; every
     # case has an eigengap of at least 2% of |lambda_1| after the k-th value.
     # The fallback cases take their reference basis from Householder QR and
-    # the SVD of its R, which seigh's one thin SVD replaces
+    # the SVD of its R, which seigh's one thin SVD replaces.  On the
+    # CholeskyQR2 path seigh reads omega_full^T Q off omega_full^T Y, which
+    # the cond-1e8 case checks where Y's triangular factors amplify most
     op = make()
-    ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer + 7)
-    assert (range_factors(op.apply(ens.omega_outer))[2] is None) == falls_back
+    ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=seed)
+    assert (range_factors(op.apply(ens.omega_full()[:, n_outer + 1:]))[2] is None) == falls_back
     eigvals, vectors = _explicit_q_seigh(
         op, ens, householder_range if falls_back else orthonormal_range)
     dec = seigh(op, ens)
@@ -244,14 +276,15 @@ def test_seigh_matches_the_explicit_range_basis(make, n_outer, k, falls_back):
 
 
 @pytest.mark.parametrize("eigvals,bound", [
-    (100 * 0.9 ** np.arange(200), 7.290),
-    (np.arange(60, 0, -1.0), 7.228),
+    (100 * 0.9 ** np.arange(200), 4.155),
+    (np.arange(60, 0, -1.0), 4.280),
 ], ids=["cholesky-qr2", "householder"])
 def test_draw_and_seigh_peak_memory(eigvals, bound):
-    # traced peak of the draw plus seigh in units of D x n_outer doubles.  The
-    # bounds are the peaks of the sketch that applied the operator in two
-    # blocks and formed Q, 7.28976 and 7.22725, rounded up in the third
-    # decimal (by less than one D-vector)
+    # traced peak of the draw plus seigh in units of D x n_outer doubles,
+    # held by omega_full and the operator's application of it (D x n_inner
+    # each).  The bounds are the peaks of the sketch that draws upsilon in
+    # row blocks, 4.15448 (CholeskyQR2) and 4.27943 (thin SVD), rounded up
+    # in the third decimal
     dim, n_outer = 3000, 100
     op = make_planted_operator(dim, eigvals, None, 0.0, seed=3)
     seigh(op, draw_measurements(dim, 21, 10, seed=0))  # imports and caches before tracing
@@ -297,7 +330,7 @@ def test_gram_range_basis_keeps_the_householder_rank(monkeypatch, make, n_outer,
     # singular values of the Householder R
     op = make()
     ens = draw_measurements(op.dim, 2 * n_outer + 1, n_outer, seed=n_outer)
-    sketch = op.apply(ens.omega_outer)
+    sketch = op.apply(ens.omega_full()[:, n_outer + 1:])
     singvals = np.linalg.svd(np.linalg.qr(sketch, mode="r"), compute_uv=False)
     expected = int(np.count_nonzero(singvals > DEGENERATE_COL_RTOL * np.linalg.norm(sketch)))
     calls = []
